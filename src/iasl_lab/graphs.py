@@ -70,9 +70,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def index_of(self, v: str) -> int:
-        return self._index[v]
-
     def has_vertex(self, v: str) -> bool:
         return v in self._index
 

@@ -11,6 +11,7 @@ assume them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .graphs import Graph, enumerate_connected_graphs, star, structure
@@ -18,8 +19,8 @@ from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
 from .search import (iter_iasgl_assignments, iter_top_iasl_assignments,
-                     iter_top_iasgl_assignments)
-from .topology import (enumerate_topologies, is_topology,
+                     iter_top_iasgl_assignments, screen)
+from .topology import (closed_family, enumerate_topologies,
                        realize_topology, verify_top_iasl)
 
 ORACLE_VERTEX_CAP = 7
@@ -218,15 +219,17 @@ def _check_p3(ctx: OracleScope) -> tuple:
     return instances, _holds(len(witnesses), passes), witnesses, ()
 
 
-def _check_p4(ctx: OracleScope) -> tuple:
-    """Labels containing max(X) sit on pendants adjacent to the {0}-vertex."""
+def _maxel_pendants(ctx: OracleScope, solutions: Callable,
+                    min_vertices: int) -> tuple:
     instances = 0
     witnesses = []
     passes = 0
     for g, x in ctx.pairs():
+        if g.n < min_vertices:
+            continue
         instances += 1
         top = x.max_element
-        for sol in ctx.iasgl_solutions(g, x):
+        for sol in solutions(g, x):
             zv = _zero_vertex(sol)
             ok = True
             for v, m in sol.items():
@@ -241,6 +244,11 @@ def _check_p4(ctx: OracleScope) -> tuple:
                     break
             passes += ok
     return instances, _holds(len(witnesses), passes), witnesses, ()
+
+
+def _check_p4(ctx: OracleScope) -> tuple:
+    """Labels containing max(X) sit on pendants adjacent to the {0}-vertex."""
+    return _maxel_pendants(ctx, ctx.iasgl_solutions, 1)
 
 
 def _check_t_even(ctx: OracleScope) -> tuple:
@@ -270,6 +278,19 @@ def _tally_finding(label: str, detail: str, matched: int, total: int,
                    tuple(witnesses[:3]))
 
 
+def _tally(tallies: dict, key: str, detail: str, match: bool,
+           wit: Witness) -> None:
+    rec = tallies.setdefault(key, [detail, 0, 0, []])
+    rec[1] += match
+    rec[2] += 1
+    if not match:
+        rec[3].append(wit)
+
+
+def _findings(tallies: dict) -> tuple:
+    return tuple(_tally_finding(k, *rec) for k, rec in sorted(tallies.items()))
+
+
 def _check_t_char(ctx: OracleScope) -> tuple:
     """Four-condition graceful characterization; (b)-(d) reported, not assumed.
 
@@ -280,14 +301,6 @@ def _check_t_char(ctx: OracleScope) -> tuple:
     witnesses = []
     passes = 0
     tallies: dict[str, list] = {}
-
-    def tally(key, detail, match, wit):
-        rec = tallies.setdefault(key, [detail, 0, 0, []])
-        rec[1] += match
-        rec[2] += 1
-        if not match:
-            rec[3].append(wit)
-
     for g, x in ctx.pairs():
         instances += 1
         cls = classify(x)
@@ -309,33 +322,31 @@ def _check_t_char(ctx: OracleScope) -> tuple:
                 continue
             passes += 1
             wit = Witness(g, ctx.labeling(x, sol), f"X = {x}")
-            tally("b-nonempty",
-                  "condition (b): pendants = non-summand count over non-empty subsets",
-                  pend == n_subsets - summands, wit)
-            tally("b-with-empty",
-                  "condition (b): pendants = non-summand count counting the empty set",
-                  pend == n_subsets - summands + 1, wit)
+            _tally(tallies, "b-nonempty",
+                   "condition (b): pendants = non-summand count over non-empty subsets",
+                   pend == n_subsets - summands, wit)
+            _tally(tallies, "b-with-empty",
+                   "condition (b): pendants = non-summand count counting the empty set",
+                   pend == n_subsets - summands + 1, wit)
             deg0 = g.degree(zv)
-            tally("c-not-both",
-                  "condition (c): {0}-vertex degree = count of subsets that are "
-                  "not sumsets or not summands",
-                  deg0 == not_sum_or_not_summand, wit)
-            tally("c-neither",
-                  "condition (c): {0}-vertex degree = count of subsets that are "
-                  "neither sumsets nor summands",
-                  deg0 == neither_with_zero, wit)
+            _tally(tallies, "c-not-both",
+                   "condition (c): {0}-vertex degree = count of subsets that are "
+                   "not sumsets or not summands",
+                   deg0 == not_sum_or_not_summand, wit)
+            _tally(tallies, "c-neither",
+                   "condition (c): {0}-vertex degree = count of subsets that are "
+                   "neither sumsets nor summands",
+                   deg0 == neither_with_zero, wit)
             pend_adj = sum(1 for p in _pendants(g) if zv in g.neighbors(p))
-            tally("d-excl-zero",
-                  "condition (d): pendants adjacent to the {0}-vertex = neither-count "
-                  "excluding {0}",
-                  pend_adj == neither, wit)
-            tally("d-incl-zero",
-                  "condition (d): pendants adjacent to the {0}-vertex = neither-count "
-                  "including {0}",
-                  pend_adj == neither + 1, wit)
-    findings = tuple(_tally_finding(k, rec[0], rec[1], rec[2], rec[3])
-                     for k, rec in sorted(tallies.items()))
-    return instances, _holds(len(witnesses), passes), witnesses, findings
+            _tally(tallies, "d-excl-zero",
+                   "condition (d): pendants adjacent to the {0}-vertex = neither-count "
+                   "excluding {0}",
+                   pend_adj == neither, wit)
+            _tally(tallies, "d-incl-zero",
+                   "condition (d): pendants adjacent to the {0}-vertex = neither-count "
+                   "including {0}",
+                   pend_adj == neither + 1, wit)
+    return instances, _holds(len(witnesses), passes), witnesses, _findings(tallies)
 
 
 def _check_t_tree(ctx: OracleScope) -> tuple:
@@ -380,29 +391,7 @@ def _check_t_toppend(ctx: OracleScope) -> tuple:
 
 def _check_t_maxel(ctx: OracleScope) -> tuple:
     """In a topological labeling, max(X)-labels sit on pendants by the {0}-vertex."""
-    instances = 0
-    witnesses = []
-    passes = 0
-    for g, x in ctx.pairs():
-        if g.n < 2:
-            continue
-        instances += 1
-        top = x.max_element
-        for sol in ctx.top_iasl_solutions(g, x):
-            zv = _zero_vertex(sol)
-            ok = True
-            for v, m in sol.items():
-                if not m >> top & 1:
-                    continue
-                if g.degree(v) != 1 or zv is None or zv not in g.neighbors(v):
-                    ok = False
-                    witnesses.append(Witness(
-                        g, ctx.labeling(x, sol),
-                        f"vertex {v} carries max(X) = {top} but is not a pendant "
-                        f"neighbor of the {{0}}-vertex"))
-                    break
-            passes += ok
-    return instances, _holds(len(witnesses), passes), witnesses, ()
+    return _maxel_pendants(ctx, ctx.top_iasl_solutions, 2)
 
 
 def _check_t_disc(ctx: OracleScope) -> tuple:
@@ -472,8 +461,7 @@ def _check_t_treq(ctx: OracleScope) -> tuple:
                                      f"graceful={a} but topological-graceful={b} over X = {x}"))
         for sol in ctx.iasgl_solutions(g, x):
             total += 1
-            fam = [IntSet.from_mask(m) for m in sol.values()] + [IntSet.from_mask(0)]
-            topological += bool(is_topology(fam, x))
+            topological += closed_family(sol.values(), x.mask)
     finding = Finding("tree-iasgl-topological", "info",
                       f"{topological}/{total} tree graceful labelings are themselves "
                       f"topological")
@@ -548,48 +536,38 @@ def _check_t_nsc(ctx: OracleScope) -> tuple:
     witnesses = []
     passes = 0
     tallies: dict[str, list] = {}
-
-    def tally(key, detail, match, wit):
-        rec = tallies.setdefault(key, [detail, 0, 0, []])
-        rec[1] += match
-        rec[2] += 1
-        if not match:
-            rec[3].append(wit)
-
     for g, x in ctx.pairs():
         instances += 1
-        cls = classify(x)
+        scr = screen(g, x, "top_iasgl")
+        degrees = set(g.degrees().values())
         for sol in ctx.top_iasgl_solutions(g, x):
             wit = Witness(g, ctx.labeling(x, sol), f"X = {x}")
-            edge_ok = g.m == (1 << x.size) - 2
-            vertex_ok = g.n >= (1 << x.size) - (cls.rho + 1)
-            if edge_ok and vertex_ok:
+            if scr.edge_count_ok and scr.vertex_count_ok:
                 passes += 1
             else:
                 witnesses.append(Witness(
                     g, ctx.labeling(x, sol),
                     f"condition (a) fails: edges={g.m}, vertices={g.n} over X = {x}"))
-            degrees = set(g.degrees().values())
-            tally("b-degree-rho2",
-                  "condition (b): some vertex has degree rho''",
-                  cls.rho_double_prime in degrees, wit)
-            tally("b-degree-proof",
-                  "condition (b): some vertex has the proof's degree 1 + 2^(|X|-1)",
-                  1 + (1 << (x.size - 1)) in degrees, wit)
-            pend = len(_pendants(g))
-            bound_a = 1 + cls.rho_prime if cls.x_is_sumset else cls.rho_prime
-            bound_b = cls.rho_prime if cls.x_is_sumset else 1 + cls.rho_prime
-            tally("c-reading-statement",
-                  "condition (c) statement reading: pendant bound 1 + rho' when X "
-                  "is a sumset, rho' otherwise",
-                  pend >= bound_a, wit)
-            tally("c-reading-proof",
-                  "condition (c) proof reading: pendant bound rho' when X is a "
-                  "sumset, 1 + rho' otherwise",
-                  pend >= bound_b, wit)
-    findings = tuple(_tally_finding(k, rec[0], rec[1], rec[2], rec[3])
-                     for k, rec in sorted(tallies.items()))
-    return instances, _holds(len(witnesses), passes), witnesses, findings
+            _tally(tallies, "b-degree-rho2",
+                   "condition (b): some vertex has degree rho''",
+                   scr.classification.rho_double_prime in degrees, wit)
+            _tally(tallies, "b-degree-proof",
+                   "condition (b): some vertex has the proof's degree 1 + 2^(|X|-1)",
+                   scr.degree_target in degrees, wit)
+            _tally(tallies, "c-reading-statement",
+                   "condition (c) statement reading: pendant bound 1 + rho' when X "
+                   "is a sumset, rho' otherwise",
+                   scr.pendant_count_ok_reading_a, wit)
+            _tally(tallies, "c-reading-proof",
+                   "condition (c) proof reading: pendant bound rho' when X is a "
+                   "sumset, 1 + rho' otherwise",
+                   scr.pendant_count_ok_reading_b, wit)
+    return instances, _holds(len(witnesses), passes), witnesses, _findings(tallies)
+
+
+@lru_cache(maxsize=None)
+def _star_key(leaves: int) -> tuple[int, int]:
+    return star(leaves).canonical_key()
 
 
 def _check_t_discgl(ctx: OracleScope) -> tuple:
@@ -604,9 +582,9 @@ def _check_t_discgl(ctx: OracleScope) -> tuple:
         full = frozenset(x.subset_masks())
         admits = any(frozenset(sol.values()) == full
                      for sol in ctx.top_iasgl_solutions(g, x))
-        target = star((1 << x.size) - 2)
-        is_star_shape = (g.n == target.n
-                         and g.canonical_key() == target.canonical_key())
+        leaves = (1 << x.size) - 2
+        is_star_shape = (g.n == leaves + 1 and g.m == leaves
+                         and g.canonical_key() == _star_key(leaves))
         if admits == is_star_shape:
             passes += 1
         else:

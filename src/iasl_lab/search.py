@@ -12,14 +12,19 @@ repeated runs return the identical first-found labeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet,
-                      SumsetClassification, ZERO_MASK, classify, sumset_mask)
+                      SumsetClassification, ZERO_MASK, bits_of, classify,
+                      subset_sort_key, sumset_mask)
 from .labelings import Labeling
-from .topology import TOPOLOGY_GROUND_CAP, Topology, enumerate_topologies
+# enumerate_topologies stays in this namespace for instrumentation that
+# wraps it where the searches look it up
+from .topology import (TOPOLOGY_GROUND_CAP, Topology, _rank_families,
+                       closed_family, enumerate_topologies)
 
 SEARCH_MODES = ("iasgl", "top_iasl", "top_iasgl")
 
@@ -133,17 +138,20 @@ class SearchOutcome:
         }
 
 
-def _vertex_order(g: Graph) -> list[str]:
+def _search_order(g: Graph) -> tuple[list[str], list[list[int]]]:
+    """Vertices by descending degree (name tie-break), and for each position
+    the positions of its earlier neighbours."""
     degs = g.degrees()
-    return sorted(g.vertices, key=lambda v: (-degs[v], v))
-
-
-def _sum_table(masks: tuple[int, ...]) -> dict:
-    table: dict[tuple[int, int], int] = {}
-    for a in masks:
-        for b in masks:
-            table[(a, b)] = sumset_mask(a, b)
-    return table
+    order = sorted(g.vertices, key=lambda v: (-degs[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    earlier: list[list[int]] = [[] for _ in order]
+    for u, w in g.edge_names():
+        i, j = pos[u], pos[w]
+        if i < j:
+            earlier[j].append(i)
+        else:
+            earlier[i].append(j)
+    return order, earlier
 
 
 def iter_iasgl_assignments(g: Graph, x: GroundSet,
@@ -160,23 +168,14 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     n_subsets = 1 << x.size
     if g.m != n_subsets - 2 or g.n > n_subsets - 1:
         return
-    order = _vertex_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier: list[list[int]] = [[] for _ in order]
-    for u, w in g.edge_names():
-        i, j = pos[u], pos[w]
-        if i < j:
-            earlier[j].append(i)
-        else:
-            earlier[i].append(j)
+    order, earlier = _search_order(g)
     masks = x.subset_masks()
-    table = _sum_table(masks)
+    table = {(a, b): sumset_mask(a, b) for a in masks for b in masks}
     required = frozenset(m for m in masks if m != ZERO_MASK)
     total_edges = g.m
 
     labels: list[int] = [0] * len(order)
     used: set[int] = set()
-    produced: dict[int, int] = {}
     missing: set[int] = set(required)
     decided = 0
 
@@ -201,7 +200,6 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
                 continue
             newly_covered = []
             for s in new_labels:
-                produced[s] = produced.get(s, 0) + 1
                 if s in missing:
                     missing.remove(s)
                     newly_covered.append(s)
@@ -212,10 +210,6 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
                 used.add(m)
                 yield from extend(i + 1)
                 used.remove(m)
-            for s in new_labels:
-                produced[s] -= 1
-                if produced[s] == 0:
-                    del produced[s]
             for s in newly_covered:
                 missing.add(s)
             decided -= len(new_labels)
@@ -223,19 +217,50 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     yield from extend(0)
 
 
-def _labeling_from_masks(g: Graph, x: GroundSet, masks: dict) -> Labeling:
-    return Labeling(x, {v: IntSet.from_mask(masks[v]) for v in g.vertices})
+def _first_found(g: Graph, x: GroundSet, assignments, counter: list,
+                 scr: Optional[StructuralScreen]) -> SearchOutcome:
+    for masks in assignments:
+        return SearchOutcome(
+            True, Labeling(x, {v: IntSet.from_mask(masks[v]) for v in g.vertices}),
+            counter[0], scr)
+    return SearchOutcome(False, None, counter[0], scr)
 
 
 def search_iasgl(g: Graph, x: GroundSet) -> SearchOutcome:
     """First set-graceful labeling of g over X, or proof of absence."""
     scr = screen(g, x, "iasgl")
     counter = [0]
-    if scr.admissible():
-        for masks in iter_iasgl_assignments(g, x, counter):
-            return SearchOutcome(True, _labeling_from_masks(g, x, masks),
-                                 counter[0], scr)
-    return SearchOutcome(False, None, counter[0], scr)
+    found = iter_iasgl_assignments(g, x, counter) if scr.admissible() else ()
+    return _first_found(g, x, found, counter, scr)
+
+
+@lru_cache(maxsize=None)
+def _families_by_open_count(k: int) -> dict[int, tuple[int, ...]]:
+    """The topologies on {0, ..., k-1} grouped by non-empty open count.
+
+    Each family is a bitset over the positions of its non-empty opens in the
+    canonical order of the non-empty subsets, so lowest bit first visits the
+    opens in the order of the family.
+    """
+    position = {m: p for p, m in enumerate(
+        sorted(range(1, 1 << k), key=subset_sort_key))}
+    groups: dict[int, list[int]] = {}
+    for fam in _rank_families(k):
+        bits = 0
+        for m in fam[1:]:
+            bits |= 1 << position[m]
+        groups.setdefault(len(fam) - 1, []).append(bits)
+    return {n: tuple(fams) for n, fams in groups.items()}
+
+
+@lru_cache(maxsize=None)
+def _partner_bitsets(x: GroundSet) -> tuple[int, ...]:
+    """Bit q of entry p is set when the sumset of the p-th and q-th non-empty
+    subsets of X (canonical order) stays inside X."""
+    masks = x.subset_masks()
+    return tuple(sum(1 << q for q, b in enumerate(masks)
+                     if not sumset_mask(a, b) & ~x.mask)
+                 for a in masks)
 
 
 def iter_top_iasl_assignments(g: Graph, x: GroundSet,
@@ -244,74 +269,62 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     """Yield (topology, assignment) for every topological labeling of g.
 
     For each topology T on X with |T| - 1 = |V|, backtracks over bijections
-    from vertices to T - {∅} keeping every edge sumset inside P(X).
+    from vertices to T - {∅} keeping every edge sumset inside P(X). The
+    topologies come from the relabelled families on {0, ..., |X|-1}; a
+    vertex's candidates are the unused opens of T that are partners of every
+    earlier neighbour's label.
     """
     if counter is None:
         counter = [0]
     if x.size > TOPOLOGY_GROUND_CAP:
         raise EnumerationInfeasible(
             f"topological search capped at |X| = {TOPOLOGY_GROUND_CAP}, got {x.size}")
-    xmask = x.mask
-    order = _vertex_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier: list[list[int]] = [[] for _ in order]
-    for u, w in g.edge_names():
-        i, j = pos[u], pos[w]
-        if i < j:
-            earlier[j].append(i)
-        else:
-            earlier[i].append(j)
-    for t in enumerate_topologies(x):
-        opens = [m for m in t.open_masks if m != 0]
-        if len(opens) != g.n:
-            continue
-        table = _sum_table(tuple(opens))
-        labels: list[int] = [0] * len(order)
-        used: set[int] = set()
-
-        def extend(i: int) -> Iterator[dict]:
-            if i == len(order):
-                yield {order[k]: labels[k] for k in range(len(order))}
-                return
-            for m in opens:
-                if m in used:
-                    continue
-                ok = True
-                for j in earlier[i]:
-                    if table[(m, labels[j])] & ~xmask:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                counter[0] += 1
-                labels[i] = m
-                used.add(m)
-                yield from extend(i + 1)
-                used.remove(m)
-
-        for assignment in extend(0):
-            yield t, assignment
+    order, earlier = _search_order(g)
+    n = len(order)
+    masks = x.subset_masks()
+    partners = _partner_bitsets(x)
+    nodes = 0
+    for family in _families_by_open_count(x.size).get(n, ()):
+        t = None
+        picks = [0] * n
+        cand = [0] * n
+        cand[0] = family
+        used = 0
+        i = 0
+        while True:
+            c = cand[i]
+            if not c:
+                if i == 0:
+                    break
+                i -= 1
+                used ^= 1 << picks[i]
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            picks[i] = low.bit_length() - 1
+            nodes += 1
+            if i == n - 1:
+                if t is None:
+                    t = Topology(x, (IntSet.from_mask(0),) + tuple(
+                        IntSet.from_mask(masks[p]) for p in bits_of(family)))
+                counter[0] += nodes
+                nodes = 0
+                yield t, {order[v]: masks[picks[v]] for v in range(n)}
+                continue
+            used |= low
+            i += 1
+            allowed = family & ~used
+            for j in earlier[i]:
+                allowed &= partners[picks[j]]
+            cand[i] = allowed
+    counter[0] += nodes
 
 
 def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
     """First topological labeling of g over X, or proof of absence."""
     counter = [0]
-    for _t, masks in iter_top_iasl_assignments(g, x, counter):
-        return SearchOutcome(True, _labeling_from_masks(g, x, masks),
-                             counter[0], None)
-    return SearchOutcome(False, None, counter[0], None)
-
-
-def _family_is_topology_masks(label_masks: set, xmask: int) -> bool:
-    family = set(label_masks)
-    family.add(0)
-    if xmask not in family:
-        return False
-    members = sorted(family)
-    for a, b in combinations(members, 2):
-        if (a | b) not in family or (a & b) not in family:
-            return False
-    return True
+    found = (masks for _t, masks in iter_top_iasl_assignments(g, x, counter))
+    return _first_found(g, x, found, counter, None)
 
 
 def iter_top_iasgl_assignments(g: Graph, x: GroundSet,
@@ -321,7 +334,7 @@ def iter_top_iasgl_assignments(g: Graph, x: GroundSet,
         counter = [0]
     xmask = x.mask
     for masks in iter_iasgl_assignments(g, x, counter):
-        if _family_is_topology_masks(set(masks.values()), xmask):
+        if closed_family(masks.values(), xmask):
             yield masks
 
 
@@ -333,11 +346,8 @@ def search_top_iasgl(g: Graph, x: GroundSet) -> SearchOutcome:
     """
     scr = screen(g, x, "top_iasgl")
     counter = [0]
-    if scr.admissible():
-        for masks in iter_top_iasgl_assignments(g, x, counter):
-            return SearchOutcome(True, _labeling_from_masks(g, x, masks),
-                                 counter[0], scr)
-    return SearchOutcome(False, None, counter[0], scr)
+    found = iter_top_iasgl_assignments(g, x, counter) if scr.admissible() else ()
+    return _first_found(g, x, found, counter, scr)
 
 
 def _search_for_mode(g: Graph, x: GroundSet, mode: str) -> SearchOutcome:

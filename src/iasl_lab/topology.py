@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .graphs import Graph
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
-                      subset_sort_key)
+                      bits_of, subset_sort_key)
 from .labelings import (Labeling, VerificationReport, Violation,
                         _iasgl_extra_violations, _iasl_violations,
                         _labels_usable)
@@ -59,11 +60,7 @@ class Topology:
                         for m in sorted(members, key=subset_sort_key))
         check = is_topology(ordered, ground)
         if not check.ok:
-            detail = check.reason or "not a topology"
-            if check.witness is not None:
-                a, b, op, res = check.witness
-                detail += f": {op} of {a} and {b} is {res}, which is missing"
-            raise ValueError(f"family is not a topology on {ground}: {detail}")
+            raise ValueError(f"family is not a topology on {ground}: {check.detail()}")
         return cls(ground, ordered)
 
     @property
@@ -72,9 +69,6 @@ class Topology:
 
     def has_zero_singleton(self) -> bool:
         return ZERO_MASK in self.open_masks
-
-    def is_discrete(self) -> bool:
-        return len(self.opens) == (1 << self.ground.size)
 
     def emit(self) -> str:
         return "\n".join(str(s) for s in self.opens) + "\n"
@@ -110,6 +104,13 @@ class TopologyCheck:
     def __bool__(self) -> bool:
         return self.ok
 
+    def detail(self) -> str:
+        text = self.reason or "not a topology"
+        if self.witness is not None:
+            a, b, op, res = self.witness
+            text += f": {op} of {a} and {b} is {res}, which is missing"
+        return text
+
 
 def is_topology(family: Iterable[IntSet], x: GroundSet) -> TopologyCheck:
     """Check ∅, X membership and pairwise ∪/∩ closure.
@@ -143,43 +144,59 @@ def is_topology(family: Iterable[IntSet], x: GroundSet) -> TopologyCheck:
     return TopologyCheck(True)
 
 
+def closed_family(masks: Iterable[int], xmask: int) -> bool:
+    """True when ``masks`` plus ∅ hold X and are closed under pairwise ∪ and ∩."""
+    family = set(masks)
+    family.add(0)
+    if xmask not in family:
+        return False
+    for a, b in combinations(family, 2):
+        if (a | b) not in family or (a & b) not in family:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
-def _topology_families(xmask: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on the set with mask ``xmask``, as sorted mask tuples."""
-    proper = []
-    sub = (xmask - 1) & xmask
-    while sub:
-        proper.append(sub)
-        sub = (sub - 1) & xmask
-    proper.sort(key=subset_sort_key)
-    k = len(proper)
+def _rank_families(k: int) -> tuple[tuple[int, ...], ...]:
+    """All topologies on {0, ..., k-1}, as sorted mask tuples in canonical order.
+
+    Brute force over the 2^(2^k - 2) families of proper non-empty subsets.
+    """
+    xmask = (1 << k) - 1
+    proper = sorted(range(1, xmask), key=subset_sort_key)
     out = []
-    for choice in range(1 << k):
-        members = {0, xmask}
-        for i in range(k):
-            if choice >> i & 1:
-                members.add(proper[i])
-        ordered = sorted(members, key=subset_sort_key)
-        closed = True
-        for i, a in enumerate(ordered):
-            if not closed:
-                break
-            for b in ordered[i + 1:]:
-                if (a | b) not in members or (a & b) not in members:
-                    closed = False
-                    break
-        if closed:
-            out.append(tuple(ordered))
+    for choice in range(1 << len(proper)):
+        members = [m for i, m in enumerate(proper) if choice >> i & 1]
+        members.append(xmask)
+        if closed_family(members, xmask):
+            out.append(tuple(sorted(members + [0], key=subset_sort_key)))
     out.sort(key=lambda fam: (len(fam), tuple(subset_sort_key(m) for m in fam)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _topology_families(xmask: int) -> tuple[tuple[int, ...], ...]:
+    """All topologies on the set with mask ``xmask``, as sorted mask tuples.
+
+    The topologies on X are those on {0, ..., |X|-1} carried over by the
+    increasing bijection, which keeps the canonical subset order and hence
+    the order of the families.
+    """
+    elements = list(bits_of(xmask))
+    image = [0] * (1 << len(elements))
+    for r in range(1, len(image)):
+        low = r & -r
+        image[r] = image[r ^ low] | 1 << elements[low.bit_length() - 1]
+    return tuple(tuple(image[r] for r in fam)
+                 for fam in _rank_families(len(elements)))
 
 
 def enumerate_topologies(x: GroundSet,
                          require_zero_singleton: bool = False) -> list[Topology]:
     """All topologies on X in canonical order, optionally only those with {0}.
 
-    Brute force over the 2^(2^|X|-2) candidate families, so the ground set is
-    capped at four elements.
+    The 2^(2^|X|-2) candidate families are brute-forced once per cardinality,
+    so the ground set is capped at four elements.
     """
     if x.size > TOPOLOGY_GROUND_CAP:
         raise EnumerationInfeasible(
@@ -226,11 +243,7 @@ def _topology_violations(g: Graph, f: Labeling) -> list:
         check = is_topology([IntSet.from_mask(m) for m in sorted(family, key=subset_sort_key)],
                             f.ground)
         if not check.ok:
-            detail = check.reason or "not a topology"
-            if check.witness is not None:
-                a, b, op, res = check.witness
-                detail += f": {op} of {a} and {b} is {res}, which is missing"
-            violations.append(Violation("not-a-topology", "labeling", detail))
+            violations.append(Violation("not-a-topology", "labeling", check.detail()))
     return violations
 
 

@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 
 from iasl_lab import (GroundSet, Labeling, complete, cycle,
-                      enumerate_connected_graphs, minimal_ground_set,
+                      enumerate_connected_graphs, enumerate_topologies,
+                      iter_top_iasl_assignments, minimal_ground_set,
                       parse_graph, path, screen, search_iasgl,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
@@ -133,6 +134,51 @@ class TestSearchTopIasl:
                 for u, w in g.edge_names():
                     s = out.labeling.assignment[u] + out.labeling.assignment[w]
                     assert s.issubset(X012.base)
+
+
+class TestTopIaslCore:
+    # (nodes, solutions) of every top-IASL labeling of the connected graphs
+    # with at most six vertices, as counted by the per-topology sumset-table
+    # search this core replaced
+    TOTALS = {(0, 1, 2): (3457, 145), (0, 1, 3): (2987, 123),
+              (0, 2, 3, 5): (188313, 3403)}
+
+    @pytest.mark.parametrize("ground", sorted(TOTALS),
+                             ids=lambda g: ",".join(map(str, g)))
+    def test_totals_and_topologies_over_small_graphs(self, ground):
+        x = GroundSet(ground)
+        tops = enumerate_topologies(x)
+        counter = [0]
+        solutions = 0
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n, dedup=True):
+                for t, masks in iter_top_iasl_assignments(g, x, counter):
+                    assert t in tops
+                    assert set(masks.values()) == set(t.open_masks) - {0}
+                    solutions += 1
+        assert (counter[0], solutions) == self.TOTALS[ground]
+
+    @pytest.mark.parametrize("ground, max_n", [((0, 1, 3), 6), ((0, 2, 3, 5), 5)],
+                             ids=["0,1,3", "0,2,3,5"])
+    def test_yield_order_matches_plain_permutations(self, ground, max_n):
+        # topologies in canonical order, then bijections in lexicographic
+        # order of open positions along the descending-degree vertex order
+        from iasl_lab.intsets import sumset_mask
+        x = GroundSet(ground)
+        for n in range(1, max_n + 1):
+            for g in enumerate_connected_graphs(n, dedup=True):
+                order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+                expected = []
+                for t in enumerate_topologies(x):
+                    opens = [m for m in t.open_masks if m]
+                    if len(opens) != n:
+                        continue
+                    for labels in permutations(opens):
+                        f = dict(zip(order, labels))
+                        if all(not sumset_mask(f[u], f[w]) & ~x.mask
+                               for u, w in g.edge_names()):
+                            expected.append((t, f))
+                assert list(iter_top_iasl_assignments(g, x)) == expected
 
 
 class TestSearchTopIasgl:

@@ -71,13 +71,24 @@ class TestEnumeration:
         x = GroundSet(tuple(range(n)))
         assert len(enumerate_topologies(x)) == TOPOLOGY_COUNTS[n]
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_independent_enumeration(self, n):
-        ground = frozenset(range(n))
+    @pytest.mark.parametrize("ground", [(0, 1), (0, 1, 2), (0, 2, 5)],
+                             ids=["2", "3", "0,2,5"])
+    def test_matches_independent_enumeration(self, ground):
+        ground = frozenset(ground)
         expected = brute_topologies(ground)
         got = {frozenset(frozenset(s.elements) for s in t.opens)
                for t in enumerate_topologies(GroundSet(ground))}
         assert got == expected
+
+    @pytest.mark.parametrize("ground", [(0, 2, 5), (0, 1, 3, 4)],
+                             ids=lambda g: ",".join(map(str, g)))
+    def test_relabels_the_topologies_on_the_first_naturals(self, ground):
+        base = enumerate_topologies(GroundSet(tuple(range(len(ground)))))
+        expected = [[IntSet(ground[e] for e in s) for s in t.opens]
+                    for t in base]
+        got = enumerate_topologies(GroundSet(ground))
+        assert all(t.ground == GroundSet(ground) for t in got)
+        assert [list(t.opens) for t in got] == expected
 
     def test_zero_singleton_filter(self):
         x = GroundSet((0, 1))
