@@ -11,6 +11,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 DEFAULT_MAX_ELEMENT = 63
@@ -296,12 +297,14 @@ class SumsetClassification:
                 and not c.is_nontrivial_sumset and not c.is_nontrivial_summand]
 
 
+@lru_cache(maxsize=None)
 def classify(x: GroundSet) -> SumsetClassification:
     """Exhaust all non-trivial decompositions A + B over subsets of X.
 
     A decomposition C = A + B counts as non-trivial iff A != {0} != B; since
     {0} is the sumset identity, admitting it would make every subset a sumset
-    and collapse rho.
+    and collapse rho. Results are cached per ground set and shared, so
+    callers must not modify ``per_subset``.
     """
     subs = x.subset_masks()
     xmask = x.mask

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet,
-                      SumsetClassification, ZERO_MASK, bits_of, classify,
-                      subset_sort_key, sumset_mask)
+                      SumsetClassification, bits_of, classify,
+                      sumset_mask)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
@@ -154,6 +154,89 @@ def _search_order(g: Graph) -> tuple[list[str], list[list[int]]]:
     return order, earlier
 
 
+@lru_cache(maxsize=None)
+def _sum_bits(x: GroundSet) -> tuple[tuple[int, ...], ...]:
+    """Entry [p][q] has the bit of the position of the sumset of the p-th and
+    q-th non-empty subsets of X (canonical order) set, or is 0 when that
+    sumset leaves X."""
+    masks = x.subset_masks()
+    bit = {m: 1 << p for p, m in enumerate(masks)}
+    return tuple(tuple(bit.get(sumset_mask(a, b), 0) for b in masks)
+                 for a in masks)
+
+
+@lru_cache(maxsize=None)
+def _partner_bitsets(x: GroundSet) -> tuple[int, ...]:
+    """Bit q of entry p is set when the sumset of the p-th and q-th non-empty
+    subsets of X (canonical order) stays inside X."""
+    return tuple(sum(1 << q for q, s in enumerate(row) if s)
+                 for row in _sum_bits(x))
+
+
+def _assignments(earlier: list[list[int]], family: int,
+                 partners: tuple[int, ...], counter: Optional[list],
+                 cover: Optional[tuple] = None) -> Iterator[list[int]]:
+    """The backtracking core of every search.
+
+    Gives vertex i (in ``_search_order``) a position from the bitset
+    ``family`` that no earlier vertex holds and that is in the partner bitset
+    of every earlier neighbour's position, lowest bit first, and yields the
+    list of positions (one list, updated in place) at each complete
+    assignment. A node is one such choice; nodes are added to ``counter[0]``
+    before every yield. With ``cover = (sums, missing, left)`` a choice also
+    dies when more bits of ``missing`` are left uncovered by the edge labels
+    ``sums[p][q]`` than the ``left[i]`` edges still undecided after vertex i.
+    """
+    if counter is None:
+        counter = [0]
+    n = len(earlier)
+    picks = [0] * n
+    if not n:
+        yield picks
+        return
+    graceful = cover is not None
+    if graceful:
+        sums, missing, left = cover
+        uncovered = [missing] * (n + 1)
+    cand = [0] * n
+    cand[0] = family
+    used = 0
+    i = 0
+    nodes = 0
+    while True:
+        c = cand[i]
+        if not c:
+            if i == 0:
+                break
+            i -= 1
+            used ^= 1 << picks[i]
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        p = picks[i] = low.bit_length() - 1
+        nodes += 1
+        if graceful:
+            row = sums[p]
+            m = uncovered[i]
+            for j in earlier[i]:
+                m &= ~row[picks[j]]
+            if m.bit_count() > left[i]:
+                continue
+            uncovered[i + 1] = m
+        if i == n - 1:
+            counter[0] += nodes
+            nodes = 0
+            yield picks
+            continue
+        used |= low
+        i += 1
+        allowed = family & ~used
+        for j in earlier[i]:
+            allowed &= partners[picks[j]]
+        cand[i] = allowed
+    counter[0] += nodes
+
+
 def iter_iasgl_assignments(g: Graph, x: GroundSet,
                            counter: Optional[list] = None) -> Iterator[dict]:
     """Yield every set-graceful assignment (vertex name -> mask), in order.
@@ -161,60 +244,21 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     Complete backtracking over injective assignments of non-empty subsets of
     X. A branch dies as soon as an incident edge label leaves
     P(X) - {∅, {0}}, or when fewer undecided edges remain than required
-    labels still missing from the image.
+    labels still missing from the image. Injectivity rules out {0} + {0},
+    so the partner bitsets alone decide which edge labels are acceptable.
     """
-    if counter is None:
-        counter = [0]
     n_subsets = 1 << x.size
     if g.m != n_subsets - 2 or g.n > n_subsets - 1:
         return
     order, earlier = _search_order(g)
     masks = x.subset_masks()
-    table = {(a, b): sumset_mask(a, b) for a in masks for b in masks}
-    required = frozenset(m for m in masks if m != ZERO_MASK)
-    total_edges = g.m
-
-    labels: list[int] = [0] * len(order)
-    used: set[int] = set()
-    missing: set[int] = set(required)
-    decided = 0
-
-    def extend(i: int) -> Iterator[dict]:
-        nonlocal decided
-        if i == len(order):
-            if not missing:
-                yield {order[k]: labels[k] for k in range(len(order))}
-            return
-        for m in masks:
-            if m in used:
-                continue
-            new_labels = []
-            ok = True
-            for j in earlier[i]:
-                s = table[(m, labels[j])]
-                if s not in required:
-                    ok = False
-                    break
-                new_labels.append(s)
-            if not ok:
-                continue
-            newly_covered = []
-            for s in new_labels:
-                if s in missing:
-                    missing.remove(s)
-                    newly_covered.append(s)
-            decided += len(new_labels)
-            counter[0] += 1
-            if len(missing) <= total_edges - decided:
-                labels[i] = m
-                used.add(m)
-                yield from extend(i + 1)
-                used.remove(m)
-            for s in newly_covered:
-                missing.add(s)
-            decided -= len(new_labels)
-
-    yield from extend(0)
+    left = [g.m - decided for decided in accumulate(map(len, earlier))]
+    everything = (1 << len(masks)) - 1
+    # every non-empty subset but {0}, which is first in canonical order
+    cover = (_sum_bits(x), everything ^ 1, left)
+    for picks in _assignments(earlier, everything, _partner_bitsets(x),
+                              counter, cover):
+        yield {order[v]: masks[p] for v, p in enumerate(picks)}
 
 
 def _first_found(g: Graph, x: GroundSet, assignments, counter: list,
@@ -242,8 +286,7 @@ def _families_by_open_count(k: int) -> dict[int, tuple[int, ...]]:
     canonical order of the non-empty subsets, so lowest bit first visits the
     opens in the order of the family.
     """
-    position = {m: p for p, m in enumerate(
-        sorted(range(1, 1 << k), key=subset_sort_key))}
+    position = {m: p for p, m in enumerate(GroundSet(range(k)).subset_masks())}
     groups: dict[int, list[int]] = {}
     for fam in _rank_families(k):
         bits = 0
@@ -251,16 +294,6 @@ def _families_by_open_count(k: int) -> dict[int, tuple[int, ...]]:
             bits |= 1 << position[m]
         groups.setdefault(len(fam) - 1, []).append(bits)
     return {n: tuple(fams) for n, fams in groups.items()}
-
-
-@lru_cache(maxsize=None)
-def _partner_bitsets(x: GroundSet) -> tuple[int, ...]:
-    """Bit q of entry p is set when the sumset of the p-th and q-th non-empty
-    subsets of X (canonical order) stays inside X."""
-    masks = x.subset_masks()
-    return tuple(sum(1 << q for q, b in enumerate(masks)
-                     if not sumset_mask(a, b) & ~x.mask)
-                 for a in masks)
 
 
 def iter_top_iasl_assignments(g: Graph, x: GroundSet,
@@ -274,50 +307,19 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     vertex's candidates are the unused opens of T that are partners of every
     earlier neighbour's label.
     """
-    if counter is None:
-        counter = [0]
     if x.size > TOPOLOGY_GROUND_CAP:
         raise EnumerationInfeasible(
             f"topological search capped at |X| = {TOPOLOGY_GROUND_CAP}, got {x.size}")
     order, earlier = _search_order(g)
-    n = len(order)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
-    nodes = 0
-    for family in _families_by_open_count(x.size).get(n, ()):
+    for family in _families_by_open_count(x.size).get(len(order), ()):
         t = None
-        picks = [0] * n
-        cand = [0] * n
-        cand[0] = family
-        used = 0
-        i = 0
-        while True:
-            c = cand[i]
-            if not c:
-                if i == 0:
-                    break
-                i -= 1
-                used ^= 1 << picks[i]
-                continue
-            low = c & -c
-            cand[i] = c ^ low
-            picks[i] = low.bit_length() - 1
-            nodes += 1
-            if i == n - 1:
-                if t is None:
-                    t = Topology(x, (IntSet.from_mask(0),) + tuple(
-                        IntSet.from_mask(masks[p]) for p in bits_of(family)))
-                counter[0] += nodes
-                nodes = 0
-                yield t, {order[v]: masks[picks[v]] for v in range(n)}
-                continue
-            used |= low
-            i += 1
-            allowed = family & ~used
-            for j in earlier[i]:
-                allowed &= partners[picks[j]]
-            cand[i] = allowed
-    counter[0] += nodes
+        for picks in _assignments(earlier, family, partners, counter):
+            if t is None:
+                t = Topology(x, (IntSet.from_mask(0),) + tuple(
+                    IntSet.from_mask(masks[p]) for p in bits_of(family)))
+            yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
 
 
 def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
@@ -330,8 +332,6 @@ def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
 def iter_top_iasgl_assignments(g: Graph, x: GroundSet,
                                counter: Optional[list] = None) -> Iterator[dict]:
     """Set-graceful assignments whose vertex-label family plus ∅ is a topology."""
-    if counter is None:
-        counter = [0]
     xmask = x.mask
     for masks in iter_iasgl_assignments(g, x, counter):
         if closed_family(masks.values(), xmask):

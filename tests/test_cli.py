@@ -261,6 +261,27 @@ class TestOracle:
         assert code == 2
         assert "unknown theorem id" in err
 
+    @pytest.mark.parametrize("max_vertices", ["0", "-1"])
+    def test_empty_vertex_scope_exits_two(self, capsys, max_vertices):
+        code, out, err = run(capsys, "oracle", "all", "--max-vertices", max_vertices)
+        assert code == 2
+        assert "suite clean" not in out
+        assert err.startswith("error:")
+
+    def test_repeated_ground_set_exits_two(self, capsys):
+        code, out, err = run(capsys, "oracle", "all", "--max-vertices", "4",
+                             "--ground-set", "{0,1,2}", "--ground-set", "{0,1,2}")
+        assert code == 2
+        assert "twice" in err
+
+    def test_default_json_bytes_are_pinned(self, capsys):
+        # the reports of the default scope at six vertices, byte for byte
+        import hashlib
+        code, out, _ = run(capsys, "oracle", "all", "--max-vertices", "6", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a415b362cf7028bdb39611b02863c9960e8420aa7cab778ad16620a35559c5d4")
+
 
 class TestExitCodeContract:
     def test_verdict_and_exit_agree(self, capsys, k12, tmp_path):

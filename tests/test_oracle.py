@@ -39,6 +39,20 @@ class TestRegistry:
 class TestRunAll:
     def test_empty_ground_sets(self):
         assert run_all(5, []) == []
+        assert run_all(0, []) == []
+
+    @pytest.mark.parametrize("max_vertices", [0, -1])
+    def test_empty_vertex_scope_is_rejected(self, max_vertices):
+        with pytest.raises(ValueError):
+            run_all(max_vertices, [X01])
+        with pytest.raises(ValueError):
+            run_oracle("P1", max_vertices, [X01])
+
+    def test_repeated_ground_set_is_rejected(self):
+        with pytest.raises(ValueError):
+            run_all(4, [X012, X01, GroundSet((0, 1, 2))])
+        with pytest.raises(ValueError):
+            run_oracle("T-tree", 4, [X01, X01])
 
     def test_report_count_and_order(self, reports):
         assert [r.theorem_id for r in reports] == list(ORACLE_CHECKS)

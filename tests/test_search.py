@@ -1,12 +1,14 @@
 """Backtracking searches, structural screens, and the smallest-ground-set scan."""
 
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
-from iasl_lab import (GroundSet, Labeling, complete, cycle,
+from iasl_lab import (GroundSet, IntSet, Labeling, complete, cycle,
                       enumerate_connected_graphs, enumerate_topologies,
-                      iter_top_iasl_assignments, minimal_ground_set,
+                      iter_iasgl_assignments, iter_top_iasl_assignments,
+                      minimal_ground_set,
                       parse_graph, path, screen, search_iasgl,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
@@ -179,6 +181,61 @@ class TestTopIaslCore:
                                for u, w in g.edge_names()):
                             expected.append((t, f))
                 assert list(iter_top_iasl_assignments(g, x)) == expected
+
+
+class TestIasglCore:
+    # (nodes, solutions) of every set-graceful labeling of the connected
+    # graphs with at most seven vertices, as counted by the recursive
+    # sumset-table search this core replaced
+    TOTALS = {(0, 1, 2): (4852, 732), (0, 1, 3): (4230, 720),
+              (0, 1, 2, 3): (37483, 0)}
+
+    @pytest.mark.parametrize("ground", sorted(TOTALS),
+                             ids=lambda g: ",".join(map(str, g)))
+    def test_totals_over_small_graphs(self, ground):
+        x = GroundSet(ground)
+        counter = [0]
+        solutions = 0
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n, dedup=True):
+                for masks in iter_iasgl_assignments(g, x, counter):
+                    f = Labeling(x, {v: IntSet.from_mask(m) for v, m in masks.items()})
+                    assert verify_iasgl(g, f).verdict
+                    solutions += 1
+        assert (counter[0], solutions) == self.TOTALS[ground]
+
+    def test_yield_order_matches_plain_permutations(self):
+        # injective assignments in lexicographic order of canonical subset
+        # positions along the descending-degree vertex order; the edge count
+        # must be 2^|X| - 2 for any of them to be graceful
+        from iasl_lab.intsets import ZERO_MASK, sumset_mask
+        x = GroundSet((0, 1, 3))
+        subs = x.subset_masks()
+        required = set(subs) - {ZERO_MASK}
+        graphs = solutions = 0
+        for n in range(1, 8):
+            for g in enumerate_connected_graphs(n, dedup=True):
+                if g.m != len(required):
+                    assert list(iter_iasgl_assignments(g, x)) == []
+                    continue
+                order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+                expected = []
+                for labels in permutations(subs, n):
+                    f = dict(zip(order, labels))
+                    if {sumset_mask(f[u], f[w]) for u, w in g.edge_names()} == required:
+                        expected.append(f)
+                assert list(iter_iasgl_assignments(g, x)) == expected
+                graphs += 1
+                solutions += len(expected)
+        assert (graphs, solutions) == (30, 720)
+
+    def test_deep_graph_not_found_after_fixed_node_count(self):
+        path = (Path(__file__).resolve().parent.parent
+                / "perfbench" / "data" / "iasgl-deep" / "g02.edges")
+        g = parse_graph(path.read_text(encoding="utf-8"))
+        out = search_iasgl(g, GroundSet(range(5)))
+        assert not out.found
+        assert out.nodes_explored == 28335
 
 
 class TestSearchTopIasgl:
