@@ -11,10 +11,10 @@ assume them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
-from .graphs import Graph, enumerate_connected_graphs, star, structure
+from .graphs import Graph, enumerate_connected_graphs, structure
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
@@ -431,19 +431,13 @@ def _judge_t_nsc(ctx, g, x, st):
         yield "c-reading-proof", scr.pendant_count_ok_reading_b, wit
 
 
-@lru_cache(maxsize=None)
-def _star_key(leaves: int) -> tuple[int, int]:
-    return star(leaves).canonical_key()
-
-
 def _judge_t_discgl(ctx, g, x, st):
     """Discrete-topology graceful labelings single out the star K_(1, 2^|X|-2)."""
     full = frozenset(x.subset_masks())
     admits = any(frozenset(sol.values()) == full
                  for sol in ctx.top_iasgl_solutions(g, x))
     leaves = (1 << x.size) - 2
-    is_star_shape = (g.n == leaves + 1 and g.m == leaves
-                     and g.canonical_key() == _star_key(leaves))
+    is_star_shape = st.is_star and g.m == leaves
     yield admits == is_star_shape or Witness(
         g, None,
         f"discrete graceful labeling exists={admits}, graph is the star="

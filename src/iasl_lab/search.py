@@ -11,20 +11,20 @@ repeated runs return the identical first-found labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet,
-                      SumsetClassification, bits_of, classify,
+                      SumsetClassification, classify,
                       sumset_mask)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
-from .topology import (TOPOLOGY_GROUND_CAP, Topology, _rank_families,
-                       closed_family, enumerate_topologies)
+from .topology import (TOPOLOGY_GROUND_CAP, Topology, _families_by_open_count,
+                       _topology, closed_family, enumerate_topologies)
 
 SEARCH_MODES = ("iasgl", "top_iasl", "top_iasgl")
 
@@ -44,46 +44,34 @@ class StructuralScreen:
     vertex_count_ok: bool
     pendant_count_ok_reading_a: bool
     pendant_count_ok_reading_b: bool
+    pendant_floor_ok: bool
     max_degree_ok: bool
-    classification: SumsetClassification
     edge_count: int
     required_edges: int
     vertex_count: int
     min_vertices: int
     pendant_count: int
     pendant_floor: int
-    pendant_floor_ok: bool
     max_degree: int
     degree_target: int
+    classification: SumsetClassification
 
     def admissible(self) -> bool:
         """True unless a provably necessary condition already fails."""
         return self.edge_count_ok and self.vertex_count_ok and self.pendant_floor_ok
 
     def to_json(self) -> dict:
-        c = self.classification
-        return {
-            "edge_count_ok": self.edge_count_ok,
-            "vertex_count_ok": self.vertex_count_ok,
-            "pendant_count_ok_reading_a": self.pendant_count_ok_reading_a,
-            "pendant_count_ok_reading_b": self.pendant_count_ok_reading_b,
-            "pendant_floor_ok": self.pendant_floor_ok,
-            "max_degree_ok": self.max_degree_ok,
-            "edge_count": self.edge_count,
-            "required_edges": self.required_edges,
-            "vertex_count": self.vertex_count,
-            "min_vertices": self.min_vertices,
-            "pendant_count": self.pendant_count,
-            "pendant_floor": self.pendant_floor,
-            "max_degree": self.max_degree,
-            "degree_target": self.degree_target,
-            "classification": {
-                "rho": c.rho,
-                "rho_prime": c.rho_prime,
-                "rho_double_prime": c.rho_double_prime,
-                "x_is_sumset": c.x_is_sumset,
-            },
+        """Every field in declaration order, the classification as its four
+        counts."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        c = out.pop("classification")
+        out["classification"] = {
+            "rho": c.rho,
+            "rho_prime": c.rho_prime,
+            "rho_double_prime": c.rho_double_prime,
+            "x_is_sumset": c.x_is_sumset,
         }
+        return out
 
 
 def screen(g: Graph, x: GroundSet, mode: str = "iasgl") -> StructuralScreen:
@@ -93,7 +81,9 @@ def screen(g: Graph, x: GroundSet, mode: str = "iasgl") -> StructuralScreen:
     cls = classify(x)
     n_subsets = 1 << x.size
     required_edges = n_subsets - 2
-    min_vertices = n_subsets - (cls.rho + 1)
+    # a {0}-vertex is forced only by a required label that is no non-trivial
+    # sumset; for |X| >= 2, {0, max X} is one, for X = {0} nothing is required
+    min_vertices = n_subsets - (cls.rho + 1) if required_edges else 0
     degrees = g.degrees()
     pendant_count = sum(1 for d in degrees.values() if d == 1)
     max_degree = max(degrees.values(), default=0)
@@ -278,24 +268,6 @@ def search_iasgl(g: Graph, x: GroundSet) -> SearchOutcome:
     return _first_found(g, x, found, counter, scr)
 
 
-@lru_cache(maxsize=None)
-def _families_by_open_count(k: int) -> dict[int, tuple[int, ...]]:
-    """The topologies on {0, ..., k-1} grouped by non-empty open count.
-
-    Each family is a bitset over the positions of its non-empty opens in the
-    canonical order of the non-empty subsets, so lowest bit first visits the
-    opens in the order of the family.
-    """
-    position = {m: p for p, m in enumerate(GroundSet(range(k)).subset_masks())}
-    groups: dict[int, list[int]] = {}
-    for fam in _rank_families(k):
-        bits = 0
-        for m in fam[1:]:
-            bits |= 1 << position[m]
-        groups.setdefault(len(fam) - 1, []).append(bits)
-    return {n: tuple(fams) for n, fams in groups.items()}
-
-
 def iter_top_iasl_assignments(g: Graph, x: GroundSet,
                               counter: Optional[list] = None
                               ) -> Iterator[tuple[Topology, dict]]:
@@ -303,8 +275,8 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
 
     For each topology T on X with |T| - 1 = |V|, backtracks over bijections
     from vertices to T - {∅} keeping every edge sumset inside P(X). The
-    topologies come from the relabelled families on {0, ..., |X|-1}; a
-    vertex's candidates are the unused opens of T that are partners of every
+    topologies come from the family table of their cardinality; a vertex's
+    candidates are the unused opens of T that are partners of every
     earlier neighbour's label.
     """
     if x.size > TOPOLOGY_GROUND_CAP:
@@ -317,8 +289,7 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
         t = None
         for picks in _assignments(earlier, family, partners, counter):
             if t is None:
-                t = Topology(x, (IntSet.from_mask(0),) + tuple(
-                    IntSet.from_mask(masks[p]) for p in bits_of(family)))
+                t = _topology(x, family)
             yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
 
 

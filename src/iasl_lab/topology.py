@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Optional
 
 from .graphs import Graph
@@ -128,67 +128,65 @@ def is_topology(family: Iterable[IntSet], x: GroundSet) -> TopologyCheck:
         return TopologyCheck(False, "missing the empty set")
     if x.mask not in present:
         return TopologyCheck(False, f"missing the ground set {x}")
-    ordered = sorted(present, key=subset_sort_key)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            u = a | b
-            if u not in present:
-                return TopologyCheck(False, "not closed under union",
-                                     (IntSet.from_mask(a), IntSet.from_mask(b),
-                                      "union", IntSet.from_mask(u)))
-            v = a & b
-            if v not in present:
-                return TopologyCheck(False, "not closed under intersection",
-                                     (IntSet.from_mask(a), IntSet.from_mask(b),
-                                      "intersection", IntSet.from_mask(v)))
-    return TopologyCheck(True)
+    gap = _closure_gap(sorted(present, key=subset_sort_key), present)
+    if gap is None:
+        return TopologyCheck(True)
+    a, b, op, res = gap
+    return TopologyCheck(False, f"not closed under {op}",
+                         (IntSet.from_mask(a), IntSet.from_mask(b), op,
+                          IntSet.from_mask(res)))
+
+
+def _closure_gap(ordered: Iterable[int], present: set) -> Optional[tuple]:
+    """The first pair of ``ordered`` (in its order) whose union or
+    intersection is missing from ``present``, as (a, b, op, result)."""
+    for a, b in combinations(ordered, 2):
+        u = a | b
+        if u not in present:
+            return a, b, "union", u
+        v = a & b
+        if v not in present:
+            return a, b, "intersection", v
+    return None
 
 
 def closed_family(masks: Iterable[int], xmask: int) -> bool:
     """True when ``masks`` plus ∅ hold X and are closed under pairwise ∪ and ∩."""
     family = set(masks)
     family.add(0)
-    if xmask not in family:
-        return False
-    for a, b in combinations(family, 2):
-        if (a | b) not in family or (a & b) not in family:
-            return False
-    return True
+    return xmask in family and _closure_gap(family, family) is None
 
 
 @lru_cache(maxsize=None)
-def _rank_families(k: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on {0, ..., k-1}, as sorted mask tuples in canonical order.
+def _families(k: int) -> tuple[int, ...]:
+    """All topologies on a k-element set, in canonical order.
 
-    Brute force over the 2^(2^k - 2) families of proper non-empty subsets.
+    A family is a bitset over the positions of its non-empty opens in the
+    canonical order of the non-empty subsets, X's position being the last.
+    The increasing bijection onto any ground set of size k keeps that order,
+    so position p reads as ``x.subset_masks()[p]`` there. Brute force over
+    the 2^(2^k - 2) families of proper non-empty subsets.
     """
-    xmask = (1 << k) - 1
-    proper = sorted(range(1, xmask), key=subset_sort_key)
-    out = []
-    for choice in range(1 << len(proper)):
-        members = [m for i, m in enumerate(proper) if choice >> i & 1]
-        members.append(xmask)
-        if closed_family(members, xmask):
-            out.append(tuple(sorted(members + [0], key=subset_sort_key)))
-    out.sort(key=lambda fam: (len(fam), tuple(subset_sort_key(m) for m in fam)))
+    masks = sorted(range(1, 1 << k), key=subset_sort_key)
+    top = 1 << (len(masks) - 1)  # X's bit
+    out = [fam for fam in range(top, top << 1)
+           if closed_family([masks[p] for p in bits_of(fam)], masks[-1])]
+    out.sort(key=lambda fam: (fam.bit_count(), tuple(bits_of(fam))))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _topology_families(xmask: int) -> tuple[tuple[int, ...], ...]:
-    """All topologies on the set with mask ``xmask``, as sorted mask tuples.
+def _families_by_open_count(k: int) -> dict[int, tuple[int, ...]]:
+    """``_families(k)`` grouped by the number of non-empty opens."""
+    return {n: tuple(fams) for n, fams in groupby(_families(k), int.bit_count)}
 
-    The topologies on X are those on {0, ..., |X|-1} carried over by the
-    increasing bijection, which keeps the canonical subset order and hence
-    the order of the families.
-    """
-    elements = list(bits_of(xmask))
-    image = [0] * (1 << len(elements))
-    for r in range(1, len(image)):
-        low = r & -r
-        image[r] = image[r ^ low] | 1 << elements[low.bit_length() - 1]
-    return tuple(tuple(image[r] for r in fam)
-                 for fam in _rank_families(len(elements)))
+
+def _topology(x: GroundSet, family: int) -> Topology:
+    """The topology on X whose non-empty opens sit at the positions of
+    ``family`` (see ``_families``)."""
+    masks = x.subset_masks()
+    return Topology(x, (IntSet.from_mask(0),) + tuple(
+        IntSet.from_mask(masks[p]) for p in bits_of(family)))
 
 
 def enumerate_topologies(x: GroundSet,
@@ -201,12 +199,9 @@ def enumerate_topologies(x: GroundSet,
     if x.size > TOPOLOGY_GROUND_CAP:
         raise EnumerationInfeasible(
             f"topology enumeration capped at |X| = {TOPOLOGY_GROUND_CAP}, got {x.size}")
-    out = []
-    for fam in _topology_families(x.mask):
-        if require_zero_singleton and ZERO_MASK not in fam:
-            continue
-        out.append(Topology(x, tuple(IntSet.from_mask(m) for m in fam)))
-    return out
+    # {0} is the first non-empty subset in canonical order
+    return [_topology(x, fam) for fam in _families(x.size)
+            if fam & 1 or not require_zero_singleton]
 
 
 def realize_topology(t: Topology) -> tuple[Graph, Labeling]:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from iasl_lab import (GroundSet, IntSet, Labeling, complete, cycle,
+from iasl_lab import (Graph, GroundSet, IntSet, Labeling, complete, cycle,
                       enumerate_connected_graphs, enumerate_topologies,
                       iter_iasgl_assignments, iter_top_iasl_assignments,
                       minimal_ground_set,
@@ -14,6 +14,7 @@ from iasl_lab import (GroundSet, IntSet, Labeling, complete, cycle,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
 
+X0 = GroundSet((0,))
 X01 = GroundSet((0, 1))
 X012 = GroundSet((0, 1, 2))
 
@@ -272,9 +273,14 @@ class TestSearchTopIasgl:
 class TestCompletenessAtCaps:
     def test_matches_unpruned_brute_force(self):
         # every connected graph on <= 6 vertices: the pruned search and the
-        # unpruned assignment sweep must agree exactly
+        # unpruned assignment sweep must agree exactly; over X = {0} no edge
+        # label is required, so the empty and the one-vertex graph qualify
+        for g in (Graph([], []), *enumerate_connected_graphs(1)):
+            for x in (X0, X01, X012):
+                assert search_iasgl(g, x).found == brute_force_iasgl_exists(g, x)
         for n in range(2, 7):
             for g in enumerate_connected_graphs(n, dedup=True):
+                assert search_iasgl(g, X0).found == brute_force_iasgl_exists(g, X0)
                 assert search_iasgl(g, X012).found == brute_force_iasgl_exists(g, X012)
                 if n <= 5:
                     assert search_iasgl(g, X01).found == brute_force_iasgl_exists(g, X01)

@@ -9,6 +9,7 @@ from iasl_lab import (DegenerateTopologyError, GroundSet, IntSet, Labeling,
                       enumerate_topologies, is_topology, parse_graph,
                       parse_labeling, parse_topology, realize_topology,
                       verify_top_iasgl, verify_top_iasl)
+from iasl_lab.topology import closed_family
 
 # topologies on an n-element set, n = 1..4
 TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -53,6 +54,29 @@ class TestIsTopology:
         a, b, op, res = check.witness
         assert op == "union"
         assert (a | b) == res
+
+    def test_intersection_witness(self):
+        x = GroundSet((0, 1, 2))
+        check = is_topology(sets((), (0, 1), (1, 2), (0, 1, 2)), x)
+        assert check.reason == "not closed under intersection"
+        assert check.witness == (IntSet((0, 1)), IntSet((1, 2)), "intersection",
+                                 IntSet((1,)))
+
+    def test_first_gap_in_canonical_order(self):
+        # {0}∪{1}, {0}∪{2} and {1}∪{2} are all missing; whatever order the
+        # family comes in, the first pair in canonical order is reported
+        x = GroundSet((0, 1, 2))
+        check = is_topology(sets((0, 1, 2), (2,), (1,), (), (0,)), x)
+        assert check.detail() == ("not closed under union: union of {0} and {1} "
+                                  "is {0,1}, which is missing")
+
+    def test_closed_family_agrees_with_is_topology(self):
+        x = GroundSet((0, 1, 2))
+        subsets = [0] + list(x.subset_masks())
+        for choice in range(1 << len(subsets)):
+            family = [m for i, m in enumerate(subsets) if choice >> i & 1]
+            with_empty = sets(()) + [IntSet.from_mask(m) for m in family]
+            assert closed_family(family, x.mask) == is_topology(with_empty, x).ok
 
     def test_discrete(self):
         x = GroundSet((0, 1, 2))
