@@ -164,28 +164,28 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
 class GroundSet:
     """The label universe X: a small set of non-negative integers containing 0.
 
-    The size cap (default 5) keeps ``P(X)`` small enough for the exhaustive
-    sweeps everything downstream relies on.
+    The size cap (``DEFAULT_GROUND_CAP``, 5) keeps ``P(X)`` small enough for
+    the exhaustive sweeps everything downstream relies on.
     """
 
-    __slots__ = ("base", "cap", "_subsets")
+    __slots__ = ("base", "_subsets")
 
-    def __init__(self, elements, *, cap: int = DEFAULT_GROUND_CAP):
+    def __init__(self, elements):
         base = elements if isinstance(elements, IntSet) else IntSet(elements)
         if not base.mask:
             raise ValueError("ground set must be non-empty")
         if not base.mask & 1:
             raise ValueError("ground set must contain 0")
-        if base.mask.bit_count() > cap:
+        if base.mask.bit_count() > DEFAULT_GROUND_CAP:
             raise EnumerationInfeasible(
-                f"ground set has {base.mask.bit_count()} elements, cap is {cap}")
+                f"ground set has {base.mask.bit_count()} elements, "
+                f"cap is {DEFAULT_GROUND_CAP}")
         self.base = base
-        self.cap = cap
         self._subsets: Optional[tuple[int, ...]] = None
 
     @classmethod
-    def parse(cls, text: str, *, cap: int = DEFAULT_GROUND_CAP) -> "GroundSet":
-        return cls(IntSet.parse(text), cap=cap)
+    def parse(cls, text: str) -> "GroundSet":
+        return cls(IntSet.parse(text))
 
     @property
     def mask(self) -> int:

@@ -5,6 +5,7 @@ edge inherits the sumset of its endpoint labels. The verifiers never raise on
 a bad labeling: they return a report whose violations carry machine-readable
 kinds (injectivity, empty-label, not-a-subset, unlabeled-vertex,
 unknown-vertex, missing-edge-image, extra-edge-image, bad-edge-count, ...).
+Every class is verified as the IASL checks plus the class's own rules.
 """
 
 from __future__ import annotations
@@ -122,7 +123,13 @@ def induced_edge_labels(g: Graph, f: Labeling) -> dict:
     return out
 
 
-def _iasl_violations(g: Graph, f: Labeling) -> list:
+def _verify(g: Graph, f: Labeling, *rules) -> VerificationReport:
+    """The IASL checks, then each class rule's violations, in rule order.
+
+    A rule is called as ``rule(g, f, edges)``, where ``edges`` holds the
+    induced edge labels, or is None when some vertex lacks a non-empty label
+    and the edge sums are undefined.
+    """
     violations = []
     xmask = f.ground.mask
     for v in g.vertices:
@@ -131,6 +138,7 @@ def _iasl_violations(g: Graph, f: Labeling) -> list:
     for v in f.assignment:
         if not g.has_vertex(v):
             violations.append(Violation("unknown-vertex", v, "label for a vertex not in the graph"))
+    by_mask: dict[int, list[str]] = {}
     for v in g.vertices:
         s = f.assignment.get(v)
         if s is None:
@@ -140,26 +148,61 @@ def _iasl_violations(g: Graph, f: Labeling) -> list:
         elif s.mask & ~xmask:
             violations.append(Violation("not-a-subset", v,
                                         f"{s} is not a subset of X = {f.ground}"))
-    by_mask: dict[int, list[str]] = {}
-    for v in g.vertices:
-        s = f.assignment.get(v)
-        if s is not None:
-            by_mask.setdefault(s.mask, []).append(v)
+        by_mask.setdefault(s.mask, []).append(v)
     for mask, vs in by_mask.items():
         if len(vs) > 1:
             violations.append(Violation("injectivity", ",".join(vs),
                                         f"vertices share the label {IntSet.from_mask(mask)}"))
+    edges = None
+    if rules and all(v in f.assignment and f.assignment[v].mask for v in g.vertices):
+        edges = induced_edge_labels(g, f)
+    for rule in rules:
+        violations.extend(rule(g, f, edges))
+    return VerificationReport.from_violations(violations)
+
+
+def _iasi_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
+    violations = []
+    seen: dict[int, tuple[str, str]] = {}
+    for (u, w), s in (edges or {}).items():
+        where = f"{u} {w}"
+        if s.mask & ~f.ground.mask:
+            violations.append(Violation("not-a-subset", where,
+                                        f"edge label {s} is not a subset of X = {f.ground}"))
+        if s.mask in seen:
+            pu, pw = seen[s.mask]
+            violations.append(Violation("edge-image-not-injective", where,
+                                        f"edge label {s} already used by {pu} {pw}"))
+        else:
+            seen[s.mask] = (u, w)
     return violations
 
 
-def _labels_usable(g: Graph, f: Labeling) -> bool:
-    """True when every vertex has a non-empty label (edge sums computable)."""
-    return all(v in f.assignment and f.assignment[v].mask for v in g.vertices)
+def _graceful_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
+    violations = []
+    x = f.ground
+    required_count = (1 << x.size) - 2
+    if g.m != required_count:
+        violations.append(Violation(
+            "bad-edge-count", "graph",
+            f"{g.m} edges, but a set-graceful labeling over |X| = {x.size} needs {required_count}"))
+    if edges is not None:
+        required = [m for m in x.subset_masks() if m != ZERO_MASK]
+        for (u, w), s in edges.items():
+            if s.mask not in required:
+                violations.append(Violation(
+                    "extra-edge-image", f"{u} {w}",
+                    f"edge label {s} lies outside P(X) - {{∅, {{0}}}}"))
+        achieved = {s.mask for s in edges.values()}
+        violations.extend(Violation("missing-edge-image", str(IntSet.from_mask(m)),
+                                    "required subset never appears as an edge label")
+                          for m in required if m not in achieved)
+    return violations
 
 
 def verify_iasl(g: Graph, f: Labeling) -> VerificationReport:
     """Injective, all labels non-empty subsets of X, all vertices labeled."""
-    return VerificationReport.from_violations(_iasl_violations(g, f))
+    return _verify(g, f)
 
 
 def verify_iasi(g: Graph, f: Labeling) -> VerificationReport:
@@ -168,35 +211,30 @@ def verify_iasi(g: Graph, f: Labeling) -> VerificationReport:
     The edge labels must be pairwise distinct and stay inside the power set
     of the ground set; a sumset escaping X is reported per edge.
     """
-    violations = _iasl_violations(g, f)
-    if _labels_usable(g, f):
-        xmask = f.ground.mask
-        seen: dict[int, tuple[str, str]] = {}
-        for (u, w), s in induced_edge_labels(g, f).items():
-            where = f"{u} {w}"
-            if s.mask & ~xmask:
-                violations.append(Violation("not-a-subset", where,
-                                            f"edge label {s} is not a subset of X = {f.ground}"))
-            if s.mask in seen:
-                pu, pw = seen[s.mask]
-                violations.append(Violation("edge-image-not-injective", where,
-                                            f"edge label {s} already used by {pu} {pw}"))
-            else:
-                seen[s.mask] = (u, w)
-    return VerificationReport.from_violations(violations)
+    return _verify(g, f, _iasi_rule)
 
 
 def verify_uniform(g: Graph, f: Labeling, k: int) -> VerificationReport:
     """Every edge label has exactly k elements."""
     if k < 1:
         raise ValueError("uniformity degree must be a positive integer")
-    violations = _iasl_violations(g, f)
-    if _labels_usable(g, f):
-        for (u, w), s in induced_edge_labels(g, f).items():
-            if len(s) != k:
-                violations.append(Violation("bad-edge-size", f"{u} {w}",
-                                            f"edge label {s} has {len(s)} elements, expected {k}"))
-    return VerificationReport.from_violations(violations)
+
+    def uniform_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
+        return [Violation("bad-edge-size", f"{u} {w}",
+                          f"edge label {s} has {len(s)} elements, expected {k}")
+                for (u, w), s in (edges or {}).items() if len(s) != k]
+
+    return _verify(g, f, uniform_rule)
+
+
+def verify_iasgl(g: Graph, f: Labeling) -> VerificationReport:
+    """Set-graceful: the edge-label image is exactly P(X) - {∅, {0}}.
+
+    The edge count 2^|X| - 2 is enforced as well; together with the image
+    equality it makes the induced edge function injective, which is what the
+    even-edge and star results silently assume.
+    """
+    return _verify(g, f, _graceful_rule)
 
 
 @dataclass(frozen=True)
@@ -220,41 +258,3 @@ def set_indexing_numbers(g: Graph, f: Labeling) -> SetIndexingReport:
         mono_indexed_vertices=tuple(v for v, c in vnum.items() if c == 1),
         mono_indexed_edges=tuple(e for e, c in enum_.items() if c == 1),
     )
-
-
-def _iasgl_extra_violations(g: Graph, f: Labeling) -> list:
-    violations = []
-    x = f.ground
-    required_count = (1 << x.size) - 2
-    if g.m != required_count:
-        violations.append(Violation(
-            "bad-edge-count", "graph",
-            f"{g.m} edges, but a set-graceful labeling over |X| = {x.size} needs {required_count}"))
-    if _labels_usable(g, f):
-        required = {m for m in x.subset_masks() if m != ZERO_MASK}
-        achieved: set[int] = set()
-        for (u, w), s in induced_edge_labels(g, f).items():
-            if s.mask not in required:
-                violations.append(Violation(
-                    "extra-edge-image", f"{u} {w}",
-                    f"edge label {s} lies outside P(X) - {{∅, {{0}}}}"))
-            else:
-                achieved.add(s.mask)
-        for m in x.subset_masks():
-            if m != ZERO_MASK and m not in achieved:
-                violations.append(Violation(
-                    "missing-edge-image", str(IntSet.from_mask(m)),
-                    "required subset never appears as an edge label"))
-    return violations
-
-
-def verify_iasgl(g: Graph, f: Labeling) -> VerificationReport:
-    """Set-graceful: the edge-label image is exactly P(X) - {∅, {0}}.
-
-    The edge count 2^|X| - 2 is enforced as well; together with the image
-    equality it makes the induced edge function injective, which is what the
-    even-edge and star results silently assume.
-    """
-    violations = _iasl_violations(g, f)
-    violations.extend(_iasgl_extra_violations(g, f))
-    return VerificationReport.from_violations(violations)

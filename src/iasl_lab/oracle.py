@@ -18,8 +18,7 @@ from .graphs import Graph, enumerate_connected_graphs, structure
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
-from .search import (iter_iasgl_assignments, iter_top_iasl_assignments,
-                     iter_top_iasgl_assignments, screen)
+from .search import iter_iasgl_assignments, iter_top_iasl_assignments, screen
 from .topology import (closed_family, enumerate_topologies,
                        realize_topology, verify_top_iasl)
 
@@ -143,9 +142,13 @@ class OracleScope:
         return self._top_iasl[key]
 
     def top_iasgl_solutions(self, g: Graph, x: GroundSet) -> tuple:
+        """The cached graceful solutions, filtered as in
+        ``iter_top_iasgl_assignments``."""
         key = (g, x)
         if key not in self._top_iasgl:
-            self._top_iasgl[key] = tuple(iter_top_iasgl_assignments(g, x))
+            self._top_iasgl[key] = tuple(
+                sol for sol in self.iasgl_solutions(g, x)
+                if closed_family(sol.values(), x.mask))
         return self._top_iasgl[key]
 
     @staticmethod
@@ -559,6 +562,7 @@ def run_all(max_vertices: int, ground_sets) -> list[TheoremReport]:
     if not ground_sets:
         return []
     ctx = OracleScope(max_vertices, ground_sets)
+    ctx.graphs()  # shared set-up, so that no check's time includes it
     return [_run_check(tid, ctx) for tid in ORACLE_CHECKS]
 
 

@@ -17,9 +17,8 @@ from itertools import accumulate, combinations
 from typing import Iterator, Optional
 
 from .graphs import Graph
-from .intsets import (EnumerationInfeasible, GroundSet, IntSet,
-                      SumsetClassification, classify,
-                      sumset_mask)
+from .intsets import (DEFAULT_GROUND_CAP, EnumerationInfeasible, GroundSet,
+                      IntSet, SumsetClassification, classify, sumset_mask)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
@@ -343,18 +342,18 @@ def minimal_ground_set(g: Graph, mode: str,
         raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
     if element_bound > 10:
         raise ValueError("element bound capped at 10")
-    max_size = TOPOLOGY_GROUND_CAP if mode != "iasgl" else 5
+    max_size = TOPOLOGY_GROUND_CAP if mode != "iasgl" else DEFAULT_GROUND_CAP
     pool = range(1, element_bound + 1)
     for size in range(1, max_size + 1):
+        # graceful labelings pin the edge count to 2^|X| - 2, and an injective
+        # labeling has at most 2^|X| - 1 labels, so skip sizes that cannot match
+        if mode in ("iasgl", "top_iasgl") and g.m != (1 << size) - 2:
+            continue
+        if g.n > (1 << size) - 1:
+            continue
         candidates = [(0,) + combo for combo in combinations(pool, size - 1)]
         candidates.sort(key=lambda c: (c[-1], c))
         for cand in candidates:
-            # graceful labelings pin the edge count to 2^|X| - 2, so skip
-            # candidate sizes that cannot possibly match
-            if mode in ("iasgl", "top_iasgl") and g.m != (1 << size) - 2:
-                continue
-            if g.n > (1 << size) - 1:
-                continue
             x = GroundSet(cand)
             if _search_for_mode(g, x, mode).found:
                 return x

@@ -17,8 +17,7 @@ from .graphs import Graph
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       bits_of, subset_sort_key)
 from .labelings import (Labeling, VerificationReport, Violation,
-                        _iasgl_extra_violations, _iasl_violations,
-                        _labels_usable)
+                        _graceful_rule, _verify)
 
 TOPOLOGY_GROUND_CAP = 4
 
@@ -227,31 +226,23 @@ def realize_topology(t: Topology) -> tuple[Graph, Labeling]:
     return g, Labeling(t.ground, assignment)
 
 
-def _topology_violations(g: Graph, f: Labeling) -> list:
-    violations = []
-    usable = (_labels_usable(g, f)
-              and all(not f.assignment[v].mask & ~f.ground.mask
-                      for v in g.vertices))
-    if usable:
-        family = {f.assignment[v].mask for v in g.vertices}
-        family.add(0)
-        check = is_topology([IntSet.from_mask(m) for m in sorted(family, key=subset_sort_key)],
-                            f.ground)
-        if not check.ok:
-            violations.append(Violation("not-a-topology", "labeling", check.detail()))
-    return violations
+def _topology_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
+    """Not-a-topology when the vertex labels, all inside X, plus ∅ fail the
+    axioms; unusable or out-of-X labels are left to the IASL checks."""
+    if edges is None:
+        return []
+    family = {f.assignment[v].mask for v in g.vertices} | {0}
+    if any(m & ~f.ground.mask for m in family):
+        return []
+    check = is_topology([IntSet.from_mask(m) for m in family], f.ground)
+    return [] if check.ok else [Violation("not-a-topology", "labeling", check.detail())]
 
 
 def verify_top_iasl(g: Graph, f: Labeling) -> VerificationReport:
     """An IASL whose vertex-label family plus ∅ is a topology on X."""
-    violations = _iasl_violations(g, f)
-    violations.extend(_topology_violations(g, f))
-    return VerificationReport.from_violations(violations)
+    return _verify(g, f, _topology_rule)
 
 
 def verify_top_iasgl(g: Graph, f: Labeling) -> VerificationReport:
     """Simultaneously a topological IASL and a set-graceful labeling."""
-    violations = _iasl_violations(g, f)
-    violations.extend(_topology_violations(g, f))
-    violations.extend(_iasgl_extra_violations(g, f))
-    return VerificationReport.from_violations(violations)
+    return _verify(g, f, _topology_rule, _graceful_rule)

@@ -143,7 +143,6 @@ class TestGroundSet:
     def test_cap(self):
         with pytest.raises(EnumerationInfeasible):
             GroundSet((0, 1, 2, 3, 4, 5))
-        assert GroundSet((0, 1, 2, 3, 4, 5), cap=6).size == 6
 
     def test_parse(self):
         assert GroundSet.parse("{0,1}").elements == (0, 1)

@@ -6,7 +6,7 @@ from iasl_lab import (GroundSet, IncompleteLabelingError, IntSet, Labeling,
                       LabelingParseError, induced_edge_labels, parse_graph,
                       parse_labeling, path, set_indexing_numbers, star,
                       sumset, verify_iasgl, verify_iasi, verify_iasl,
-                      verify_uniform)
+                      verify_top_iasgl, verify_top_iasl, verify_uniform)
 
 
 def mk(ground, **labels):
@@ -268,3 +268,110 @@ class TestAdjacencyBound:
                     s = sumset(a, b)
                     if s.issubset(x.base):
                         assert a.max() + b.max() <= top
+
+
+VERIFIERS = {"iasl": verify_iasl, "iasi": verify_iasi,
+             "uniform:1": lambda g, f: verify_uniform(g, f, 1),
+             "uniform:2": lambda g, f: verify_uniform(g, f, 2),
+             "iasgl": verify_iasgl, "top-iasl": verify_top_iasl,
+             "top-iasgl": verify_top_iasgl}
+UNEXPLAINED = "required subset never appears as an edge label"
+MISSING_X012 = [("missing-edge-image", m, UNEXPLAINED)
+                for m in ("{1}", "{2}", "{0,1}", "{0,2}", "{1,2}", "{0,1,2}")]
+BIG_EDGE = "edge label {0,1,2,3}"
+NOT_CLOSED = ("not-a-topology", "labeling",
+              "not closed under intersection: intersection of {0,1} and "
+              "{0,2} is {0}, which is missing")
+EDGE_FAULTS_GRACEFUL = [
+    ("bad-edge-count", "graph",
+     "2 edges, but a set-graceful labeling over |X| = 3 needs 6"),
+    ("extra-edge-image", "v1 v2", f"{BIG_EDGE} lies outside P(X) - {{∅, {{0}}}}"),
+    ("extra-edge-image", "v2 v3", f"{BIG_EDGE} lies outside P(X) - {{∅, {{0}}}}"),
+] + MISSING_X012
+OUT_OF_X_GRACEFUL = [
+    ("extra-edge-image", "c l2", "edge label {2} lies outside P(X) - {∅, {0}}"),
+    ("missing-edge-image", "{0,1}", UNEXPLAINED)]
+
+# Each case: the graph, the labeling, the IASL violations every class reports
+# first, and each class's own violations after them (none when not listed).
+PIPELINE_CASES = {
+    # no usable labels: the class rules get no edges, only the edge count shows
+    "unusable": (
+        path(4),
+        Labeling(GroundSet((0, 1, 2)), {"v2": IntSet(()), "v3": IntSet((3,)),
+                                        "v4": IntSet((3,)), "ghost": IntSet((1,))}),
+        [("unlabeled-vertex", "v1", "vertex has no label"),
+         ("unknown-vertex", "ghost", "label for a vertex not in the graph"),
+         ("empty-label", "v2", "labels must be non-empty"),
+         ("not-a-subset", "v3", "{3} is not a subset of X = {0,1,2}"),
+         ("not-a-subset", "v4", "{3} is not a subset of X = {0,1,2}"),
+         ("injectivity", "v3,v4", "vertices share the label {3}")],
+        {cls: [("bad-edge-count", "graph",
+                "3 edges, but a set-graceful labeling over |X| = 3 needs 6")]
+         for cls in ("iasgl", "top-iasgl")}),
+    # every vertex labeled, one label empty: still no edges for the rules
+    "empty-only": (
+        star(2), mk((0, 1), c=(), l1=(1,), l2=(0, 1)),
+        [("empty-label", "c", "labels must be non-empty")],
+        {}),
+    # a valid IASL whose two edges both carry {0,2}+{0,1} = {0,1,2}+{0,1}
+    "edge-faults": (
+        path(3), mk((0, 1, 2), v1=(0, 2), v2=(0, 1), v3=(0, 1, 2)),
+        [],
+        {"iasi": [("not-a-subset", "v1 v2", f"{BIG_EDGE} is not a subset of X = {{0,1,2}}"),
+                  ("not-a-subset", "v2 v3", f"{BIG_EDGE} is not a subset of X = {{0,1,2}}"),
+                  ("edge-image-not-injective", "v2 v3", f"{BIG_EDGE} already used by v1 v2")],
+         "uniform:1": [("bad-edge-size", e, f"{BIG_EDGE} has 4 elements, expected 1")
+                       for e in ("v1 v2", "v2 v3")],
+         "uniform:2": [("bad-edge-size", e, f"{BIG_EDGE} has 4 elements, expected 2")
+                       for e in ("v1 v2", "v2 v3")],
+         "iasgl": EDGE_FAULTS_GRACEFUL,
+         "top-iasl": [NOT_CLOSED],
+         "top-iasgl": [NOT_CLOSED] + EDGE_FAULTS_GRACEFUL}),
+    # a label outside X: the edge rules still run, the topology rule does not
+    "out-of-x": (
+        star(2), mk((0, 1), c=(0,), l1=(1,), l2=(2,)),
+        [("not-a-subset", "l2", "{2} is not a subset of X = {0,1}")],
+        {"iasi": [("not-a-subset", "c l2", "edge label {2} is not a subset of X = {0,1}")],
+         "uniform:2": [("bad-edge-size", f"c {leaf}",
+                        f"edge label {{{leaf[1]}}} has 1 elements, expected 2")
+                       for leaf in ("l1", "l2")],
+         "iasgl": OUT_OF_X_GRACEFUL,
+         "top-iasgl": OUT_OF_X_GRACEFUL}),
+    "graceful": (
+        star(6), mk((0, 1, 2), c=(0,), l1=(1,), l2=(2,), l3=(0, 1), l4=(0, 2),
+                    l5=(1, 2), l6=(0, 1, 2)),
+        [],
+        {"uniform:1": [("bad-edge-size", "c l3", "edge label {0,1} has 2 elements, expected 1"),
+                       ("bad-edge-size", "c l4", "edge label {0,2} has 2 elements, expected 1"),
+                       ("bad-edge-size", "c l5", "edge label {1,2} has 2 elements, expected 1"),
+                       ("bad-edge-size", "c l6",
+                        "edge label {0,1,2} has 3 elements, expected 1")],
+         "uniform:2": [("bad-edge-size", "c l1", "edge label {1} has 1 elements, expected 2"),
+                       ("bad-edge-size", "c l2", "edge label {2} has 1 elements, expected 2"),
+                       ("bad-edge-size", "c l6",
+                        "edge label {0,1,2} has 3 elements, expected 2")]}),
+}
+
+
+class TestVerificationPipeline:
+    """Every class reports the IASL violations, then its own rules' violations
+    in order: kinds, places, details and order are pinned."""
+
+    @pytest.mark.parametrize("case", PIPELINE_CASES)
+    @pytest.mark.parametrize("cls", VERIFIERS)
+    def test_violation_lists(self, case, cls):
+        g, f, iasl, own = PIPELINE_CASES[case]
+        report = VERIFIERS[cls](g, f)
+        expected = iasl + own.get(cls, [])
+        assert [(v.kind, v.where, v.detail) for v in report.violations] == expected
+        assert report.verdict == (not expected)
+
+    def test_cases_reach_every_violation_kind(self):
+        reached = {v[0] for _g, _f, iasl, own in PIPELINE_CASES.values()
+                   for v in iasl + [v for vs in own.values() for v in vs]}
+        assert reached == {
+            "unlabeled-vertex", "unknown-vertex", "empty-label", "not-a-subset",
+            "injectivity", "edge-image-not-injective", "bad-edge-size",
+            "bad-edge-count", "extra-edge-image", "missing-edge-image",
+            "not-a-topology"}

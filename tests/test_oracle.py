@@ -2,7 +2,8 @@
 
 import pytest
 
-from iasl_lab import (GroundSet, ORACLE_CHECKS, run_all, run_oracle,
+from iasl_lab import (GroundSet, ORACLE_CHECKS, OracleScope,
+                      iter_top_iasgl_assignments, run_all, run_oracle,
                       suite_clean, verify_iasgl)
 
 X01 = GroundSet((0, 1))
@@ -134,6 +135,14 @@ class TestKnownOutcomes:
     def test_acyclic_star_shape_at_seven(self):
         t = run_oracle("T-acyc", 7, [X012])
         assert t.holds == "confirmed"
+
+
+class TestSolutionCaches:
+    def test_top_iasgl_filter_matches_the_search(self):
+        scope = OracleScope(6, [X01, X012])
+        for g, x in scope.pairs():
+            assert scope.top_iasgl_solutions(g, x) == tuple(
+                iter_top_iasgl_assignments(g, x))
 
 
 class TestWitnessesReverify:
