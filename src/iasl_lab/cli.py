@@ -17,8 +17,7 @@ from .intsets import GroundSet, classify
 from .labelings import (parse_labeling, verify_iasgl, verify_iasi, verify_iasl,
                         verify_uniform)
 from .oracle import ORACLE_CHECKS, run_all, run_oracle, suite_clean
-from .search import (minimal_ground_set, search_iasgl, search_top_iasgl,
-                     search_top_iasl)
+from .search import SEARCHES, minimal_ground_set
 from .topology import (enumerate_topologies, parse_topology, realize_topology,
                        verify_top_iasgl, verify_top_iasl)
 
@@ -32,11 +31,15 @@ _VERIFIERS = {
     "top-iasgl": verify_top_iasgl,
 }
 
-_SEARCHES = {
-    "iasgl": search_iasgl,
-    "top-iasl": search_top_iasl,
-    "top-iasgl": search_top_iasgl,
-}
+
+def _search_mode(name: str) -> str:
+    """The library's mode for a documented mode name: iasgl, top-iasl or
+    top-iasgl."""
+    modes = {mode.replace("_", "-"): mode for mode in SEARCHES}
+    if name not in modes:
+        raise ValueError(f"unknown search mode {name!r}, expected one of "
+                         f"{', '.join(modes)}")
+    return modes[name]
 
 
 def _emit_json(payload: dict) -> None:
@@ -108,14 +111,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    mode = args.mode
-    if mode not in _SEARCHES:
-        raise ValueError(f"unknown search mode {mode!r}")
+    search = SEARCHES[_search_mode(args.mode)]
     g = parse_graph(_read(args.graph))
     x = GroundSet.parse(args.ground)
-    outcome = _SEARCHES[mode](g, x)
+    outcome = search(g, x)
     if args.json:
-        _emit_json({"command": "search", "mode": mode, "ground": str(x),
+        _emit_json({"command": "search", "mode": args.mode, "ground": str(x),
                     **outcome.to_json()})
     else:
         print(f"found: {'yes' if outcome.found else 'no'}")
@@ -165,8 +166,8 @@ def _cmd_enum_topologies(args) -> int:
 
 
 def _cmd_min_ground_set(args) -> int:
+    mode = _search_mode(args.mode)
     g = parse_graph(_read(args.graph))
-    mode = args.mode.replace("-", "_")
     x = minimal_ground_set(g, mode, element_bound=args.max_element)
     if args.json:
         _emit_json({"command": "min-ground-set", "mode": args.mode,

@@ -241,25 +241,23 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # --- canonical forms ---------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """bit[i][j] for i < j: position of edge (i, j) in the n-vertex edge mask."""
-    bit = [[0] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bit[i][j] = 1 << k
-            k += 1
-    return tuple(tuple(row) for row in bit)
+def _mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pair (i, j), i < j, at each bit of an n-vertex edge mask."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 @lru_cache(maxsize=None)
-def _mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bit[i][j] == bit[j][i]: the bit of edge {i, j} in the n-vertex edge mask."""
+    bit = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(_mask_pairs(n)):
+        bit[i][j] = bit[j][i] = 1 << k
+    return tuple(map(tuple, bit))
 
 
 def _edges_of_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
     pairs = _mask_pairs(n)
-    return tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
+    return tuple(pairs[k] for k in bits_of(mask))
 
 
 def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
@@ -306,11 +304,10 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
                 pos += 1
         m = 0
         for i, j in edges:
-            a, b = place[i], place[j]
-            m |= bit[a][b] if a < b else bit[b][a]
+            m |= bit[place[i]][place[j]]
         if best is None or m < best:
             best = m
-    return best if best is not None else 0
+    return best
 
 
 def graphs_isomorphic(g: Graph, h: Graph) -> bool:
@@ -319,32 +316,10 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
 
 # --- enumeration -------------------------------------------------------------
 
-def _mask_connected(n: int, mask: int) -> bool:
-    if n <= 1:
-        return True
-    rows = [0] * n
-    pairs = _mask_pairs(n)
-    for k in range(len(pairs)):
-        if mask >> k & 1:
-            i, j = pairs[k]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 @lru_cache(maxsize=None)
-def _connected_class_masks(n: int, max_edges: Optional[int]) -> tuple[int, ...]:
-    """Canonical edge masks of connected graphs on n vertices, up to iso.
+def _connected_class_masks(n: int) -> tuple[int, ...]:
+    """Canonical edge masks of connected graphs on n vertices, up to iso,
+    in increasing order.
 
     Built by attaching a new vertex with every non-empty neighborhood to each
     smaller class; every connected graph arises this way because removing a
@@ -352,19 +327,11 @@ def _connected_class_masks(n: int, max_edges: Optional[int]) -> tuple[int, ...]:
     """
     if n == 1:
         return (0,)
-    inner = None if max_edges is None else max_edges - 1
     seen: set[int] = set()
-    for hmask in _connected_class_masks(n - 1, inner):
+    for hmask in _connected_class_masks(n - 1):
         h_edges = _edges_of_mask(n - 1, hmask)
-        if max_edges is not None and len(h_edges) >= max_edges + 1:
-            continue
-        room = None if max_edges is None else max_edges - len(h_edges)
         for s in range(1, 1 << (n - 1)):
-            if room is not None and s.bit_count() > room:
-                continue
-            edges = list(h_edges)
-            edges.extend((i, n - 1) for i in bits_of(s))
-            seen.add(canonical_mask(n, edges))
+            seen.add(canonical_mask(n, h_edges + tuple((i, n - 1) for i in bits_of(s))))
     return tuple(sorted(seen))
 
 
@@ -378,28 +345,24 @@ def enumerate_connected_graphs(n: int, dedup: bool = False,
                                max_edges: Optional[int] = None) -> Iterator[Graph]:
     """Yield every connected simple graph on n labeled vertices.
 
-    With ``dedup`` one representative per isomorphism class is produced, in a
-    deterministic order. ``max_edges`` restricts the edge count (handy for
-    trees: ``max_edges=n-1``).
+    With ``dedup`` one representative per isomorphism class is produced, in
+    increasing order of its canonical edge mask. ``max_edges`` keeps the
+    graphs with at most that many edges (trees: ``max_edges=n-1``).
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
     if n > ENUMERATION_VERTEX_CAP:
         raise EnumerationInfeasible(
             f"enumeration capped at {ENUMERATION_VERTEX_CAP} vertices, got {n}")
-    if dedup:
-        for mask in _connected_class_masks(n, max_edges):
-            yield _graph_from_mask(n, mask)
-        return
-    total_bits = n * (n - 1) // 2
-    for mask in range(1 << total_bits):
+    masks = _connected_class_masks(n) if dedup else range(1 << (n * (n - 1) // 2))
+    for mask in masks:
         if max_edges is not None and mask.bit_count() > max_edges:
             continue
-        if _mask_connected(n, mask):
-            yield _graph_from_mask(n, mask)
+        g = _graph_from_mask(n, mask)
+        if dedup or g.is_connected():
+            yield g
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees on n vertices."""
-    for g in enumerate_connected_graphs(n, dedup=True, max_edges=n - 1):
-        yield g
+    return enumerate_connected_graphs(n, dedup=True, max_edges=n - 1)

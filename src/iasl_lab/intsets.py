@@ -47,15 +47,15 @@ def subset_sort_key(mask: int) -> tuple:
     return (mask.bit_count(), tuple(bits_of(mask)))
 
 
-def _mask_of(elements: Iterable[int], max_element: int) -> int:
+def _mask_of(elements: Iterable[int]) -> int:
     mask = 0
     for x in elements:
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"set elements must be integers, got {x!r}")
         if x < 0:
             raise ValueError(f"set elements must be non-negative, got {x}")
-        if x > max_element:
-            raise ValueError(f"element {x} exceeds the maximum {max_element}")
+        if x > DEFAULT_MAX_ELEMENT:
+            raise ValueError(f"element {x} exceeds the maximum {DEFAULT_MAX_ELEMENT}")
         mask |= 1 << x
     return mask
 
@@ -65,9 +65,8 @@ class IntSet:
 
     __slots__ = ("mask",)
 
-    def __init__(self, elements: Iterable[int] = (), *,
-                 max_element: int = DEFAULT_MAX_ELEMENT):
-        self.mask: int = _mask_of(elements, max_element)
+    def __init__(self, elements: Iterable[int] = ()):
+        self.mask: int = _mask_of(elements)
 
     @classmethod
     def from_mask(cls, mask: int) -> "IntSet":

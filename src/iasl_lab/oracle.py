@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .graphs import Graph, enumerate_connected_graphs, structure
+from .graphs import (ENUMERATION_VERTEX_CAP, Graph, enumerate_connected_graphs,
+                     structure)
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
@@ -22,7 +23,7 @@ from .search import iter_iasgl_assignments, iter_top_iasl_assignments, screen
 from .topology import (closed_family, enumerate_topologies,
                        realize_topology, verify_top_iasl)
 
-ORACLE_VERTEX_CAP = 7
+ORACLE_VERTEX_CAP = ENUMERATION_VERTEX_CAP
 ORACLE_GROUND_CAP = 3
 
 

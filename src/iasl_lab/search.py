@@ -17,15 +17,13 @@ from itertools import accumulate, combinations
 from typing import Iterator, Optional
 
 from .graphs import Graph
-from .intsets import (DEFAULT_GROUND_CAP, EnumerationInfeasible, GroundSet,
-                      IntSet, SumsetClassification, classify, sumset_mask)
+from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
+                      SumsetClassification, classify, sumset_mask)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
 from .topology import (TOPOLOGY_GROUND_CAP, Topology, _families_by_open_count,
                        _topology, closed_family, enumerate_topologies)
-
-SEARCH_MODES = ("iasgl", "top_iasl", "top_iasgl")
 
 
 @dataclass(frozen=True)
@@ -250,21 +248,22 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
         yield {order[v]: masks[p] for v, p in enumerate(picks)}
 
 
-def _first_found(g: Graph, x: GroundSet, assignments, counter: list,
+def _first_found(g: Graph, x: GroundSet, assignments,
                  scr: Optional[StructuralScreen]) -> SearchOutcome:
-    for masks in assignments:
-        return SearchOutcome(
-            True, Labeling(x, {v: IntSet.from_mask(masks[v]) for v in g.vertices}),
-            counter[0], scr)
+    """The first labeling ``assignments(g, x, counter)`` yields, unless the
+    screen already rules g out."""
+    counter = [0]
+    if scr is None or scr.admissible():
+        for masks in assignments(g, x, counter):
+            return SearchOutcome(
+                True, Labeling(x, {v: IntSet.from_mask(masks[v]) for v in g.vertices}),
+                counter[0], scr)
     return SearchOutcome(False, None, counter[0], scr)
 
 
 def search_iasgl(g: Graph, x: GroundSet) -> SearchOutcome:
     """First set-graceful labeling of g over X, or proof of absence."""
-    scr = screen(g, x, "iasgl")
-    counter = [0]
-    found = iter_iasgl_assignments(g, x, counter) if scr.admissible() else ()
-    return _first_found(g, x, found, counter, scr)
+    return _first_found(g, x, iter_iasgl_assignments, screen(g, x, "iasgl"))
 
 
 def iter_top_iasl_assignments(g: Graph, x: GroundSet,
@@ -278,9 +277,6 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     candidates are the unused opens of T that are partners of every
     earlier neighbour's label.
     """
-    if x.size > TOPOLOGY_GROUND_CAP:
-        raise EnumerationInfeasible(
-            f"topological search capped at |X| = {TOPOLOGY_GROUND_CAP}, got {x.size}")
     order, earlier = _search_order(g)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
@@ -294,9 +290,9 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
 
 def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
     """First topological labeling of g over X, or proof of absence."""
-    counter = [0]
-    found = (masks for _t, masks in iter_top_iasl_assignments(g, x, counter))
-    return _first_found(g, x, found, counter, None)
+    def assignments(g, x, counter):
+        return (masks for _t, masks in iter_top_iasl_assignments(g, x, counter))
+    return _first_found(g, x, assignments, None)
 
 
 def iter_top_iasgl_assignments(g: Graph, x: GroundSet,
@@ -314,20 +310,11 @@ def search_top_iasgl(g: Graph, x: GroundSet) -> SearchOutcome:
     Equivalent to filtering the graceful search's solutions by the topology
     axioms, so the two searches stay consistent by construction.
     """
-    scr = screen(g, x, "top_iasgl")
-    counter = [0]
-    found = iter_top_iasgl_assignments(g, x, counter) if scr.admissible() else ()
-    return _first_found(g, x, found, counter, scr)
+    return _first_found(g, x, iter_top_iasgl_assignments, screen(g, x, "top_iasgl"))
 
 
-def _search_for_mode(g: Graph, x: GroundSet, mode: str) -> SearchOutcome:
-    if mode == "iasgl":
-        return search_iasgl(g, x)
-    if mode == "top_iasl":
-        return search_top_iasl(g, x)
-    if mode == "top_iasgl":
-        return search_top_iasgl(g, x)
-    raise ValueError(f"unknown search mode {mode!r}")
+SEARCHES = {"iasgl": search_iasgl, "top_iasl": search_top_iasl,
+            "top_iasgl": search_top_iasgl}
 
 
 def minimal_ground_set(g: Graph, mode: str,
@@ -338,8 +325,10 @@ def minimal_ground_set(g: Graph, mode: str,
     Candidates contain 0 and draw their other elements from 1..element_bound.
     Returns None when every candidate within the caps fails.
     """
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"mode must be one of {SEARCH_MODES}, got {mode!r}")
+    if mode not in SEARCHES:
+        raise ValueError(f"mode must be one of {tuple(SEARCHES)}, got {mode!r}")
+    if element_bound < 0:
+        raise ValueError(f"element bound must be non-negative, got {element_bound}")
     if element_bound > 10:
         raise ValueError("element bound capped at 10")
     max_size = TOPOLOGY_GROUND_CAP if mode != "iasgl" else DEFAULT_GROUND_CAP
@@ -355,6 +344,6 @@ def minimal_ground_set(g: Graph, mode: str,
         candidates.sort(key=lambda c: (c[-1], c))
         for cand in candidates:
             x = GroundSet(cand)
-            if _search_for_mode(g, x, mode).found:
+            if SEARCHES[mode](g, x).found:
                 return x
     return None

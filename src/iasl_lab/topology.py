@@ -164,8 +164,12 @@ def _families(k: int) -> tuple[int, ...]:
     canonical order of the non-empty subsets, X's position being the last.
     The increasing bijection onto any ground set of size k keeps that order,
     so position p reads as ``x.subset_masks()[p]`` there. Brute force over
-    the 2^(2^k - 2) families of proper non-empty subsets.
+    the 2^(2^k - 2) families of proper non-empty subsets, so k is capped at
+    four.
     """
+    if k > TOPOLOGY_GROUND_CAP:
+        raise EnumerationInfeasible(
+            f"topology enumeration capped at |X| = {TOPOLOGY_GROUND_CAP}, got {k}")
     masks = sorted(range(1, 1 << k), key=subset_sort_key)
     top = 1 << (len(masks) - 1)  # X's bit
     out = [fam for fam in range(top, top << 1)
@@ -192,12 +196,9 @@ def enumerate_topologies(x: GroundSet,
                          require_zero_singleton: bool = False) -> list[Topology]:
     """All topologies on X in canonical order, optionally only those with {0}.
 
-    The 2^(2^|X|-2) candidate families are brute-forced once per cardinality,
-    so the ground set is capped at four elements.
+    The table is built once per cardinality (``_families``), which caps the
+    ground set at four elements.
     """
-    if x.size > TOPOLOGY_GROUND_CAP:
-        raise EnumerationInfeasible(
-            f"topology enumeration capped at |X| = {TOPOLOGY_GROUND_CAP}, got {x.size}")
     # {0} is the first non-empty subset in canonical order
     return [_topology(x, fam) for fam in _families(x.size)
             if fam & 1 or not require_zero_singleton]

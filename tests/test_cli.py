@@ -236,6 +236,33 @@ class TestMinGroundSet:
         assert payload["ground"] is None
 
 
+    @pytest.mark.parametrize("command", ["search", "min-ground-set"])
+    @pytest.mark.parametrize("mode", ["top_iasl", "foo"])
+    def test_one_table_of_mode_names(self, capsys, tmp_path, command, mode):
+        g = tmp_path / "g.txt"
+        g.write_text(K12_GRAPH)
+        ground = ["{0,1}"] if command == "search" else []
+        code, out, err = run(capsys, command, "--mode", mode, str(g), *ground)
+        assert (code, out) == (2, "")
+        assert f"unknown search mode {mode!r}, expected one of " \
+               "iasgl, top-iasl, top-iasgl" in err
+
+    def test_negative_element_bound_exits_two(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_text(K12_GRAPH)
+        code, out, err = run(capsys, "min-ground-set", "--mode", "iasgl",
+                             "--max-element", "-3", str(g))
+        assert (code, out) == (2, "")
+        assert "element bound must be non-negative, got -3" in err
+
+    def test_zero_element_bound(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_text("v\n")
+        code, out, _ = run(capsys, "min-ground-set", "--mode", "top-iasl",
+                           "--max-element", "0", str(g))
+        assert (code, out.strip()) == (0, "{0}")
+
+
 class TestOracle:
     def test_single_check(self, capsys):
         code, out, _ = run(capsys, "oracle", "T-real", "--max-vertices", "4",

@@ -1,5 +1,7 @@
 """Graph parsing, structure reports, canonical forms, and enumeration."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,12 @@ from iasl_lab import (EnumerationInfeasible, Graph, GraphParseError,
 # known counts: connected graphs up to isomorphism and on labeled vertices
 CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CONNECTED_LABELED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+# classes of trees (OEIS A000055), and of connected graphs with at most n
+# edges: the trees plus the connected unicyclic graphs (OEIS A001429)
+TREE_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
+AT_MOST_N_EDGES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8, 6: 19, 7: 44}
+# SHA-256 of repr([(g.n, g.edges)]) over every class with n <= 7, in order
+CLASSES_SHA256 = "fc895c815f6d5437e2daa4399494cb777cfb2d11424a1be640d5eea9623aa928"
 
 
 class TestParse:
@@ -127,7 +135,7 @@ class TestCanonicalForm:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_class_counts(self, n):
         got = sum(1 for _ in enumerate_connected_graphs(n, dedup=True))
         assert got == CONNECTED_CLASSES[n]
@@ -136,6 +144,19 @@ class TestEnumeration:
     def test_labeled_counts_match_brute_filter(self, n):
         got = sum(1 for _ in enumerate_connected_graphs(n))
         assert got == CONNECTED_LABELED[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_edge_bounded_class_counts(self, n):
+        assert sum(1 for _ in enumerate_trees(n)) == TREE_CLASSES[n]
+        bounded = list(enumerate_connected_graphs(n, dedup=True, max_edges=n))
+        assert len(bounded) == AT_MOST_N_EDGES[n]
+        every = list(enumerate_connected_graphs(n, dedup=True))
+        assert bounded == [g for g in every if g.m <= n]
+
+    def test_classes_and_their_order_are_pinned(self):
+        classes = [(g.n, g.edges) for n in range(1, 8)
+                   for g in enumerate_connected_graphs(n, dedup=True)]
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_SHA256
 
     def test_classes_are_pairwise_non_isomorphic(self):
         graphs = list(enumerate_connected_graphs(5, dedup=True))

@@ -362,6 +362,13 @@ class TestMinimalGroundSet:
     def test_element_bound_cap(self):
         with pytest.raises(ValueError):
             minimal_ground_set(star(2), "iasgl", element_bound=11)
+        with pytest.raises(ValueError):
+            minimal_ground_set(star(2), "iasgl", element_bound=-1)
+
+    def test_zero_element_bound_tries_only_zero(self):
+        single = Graph(["v"], [])
+        assert str(minimal_ground_set(single, "top_iasl", element_bound=0)) == "{0}"
+        assert minimal_ground_set(path(2), "top_iasl", element_bound=0) is None
 
     def test_found_set_is_minimal_in_order(self):
         # the 14-leaf star needs a 4-element ground set; {0,1,2,3} comes first

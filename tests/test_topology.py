@@ -123,9 +123,15 @@ class TestEnumeration:
         assert ["{}", "{0}", "{1}", "{0,1}"] in families
 
     def test_cap(self):
-        from iasl_lab import EnumerationInfeasible
-        with pytest.raises(EnumerationInfeasible):
-            enumerate_topologies(GroundSet((0, 1, 2, 3, 4)))
+        from iasl_lab import (EnumerationInfeasible, iter_top_iasl_assignments,
+                              search_top_iasl, star)
+        x5 = GroundSet((0, 1, 2, 3, 4))
+        for call in (lambda: enumerate_topologies(x5),
+                     lambda: list(iter_top_iasl_assignments(star(3), x5)),
+                     lambda: search_top_iasl(star(3), x5)):
+            with pytest.raises(EnumerationInfeasible,
+                               match=r"topology enumeration capped at \|X\| = 4, got 5"):
+                call()
 
     def test_every_family_satisfies_axioms(self):
         x = GroundSet((0, 1, 2))
