@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .intsets import EnumerationInfeasible, bits_of
@@ -32,7 +31,7 @@ class Graph:
     ``(i, j)`` with ``i < j``, sorted.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_ckey")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_ckey", "_hash")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(vertices)
@@ -61,6 +60,7 @@ class Graph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._ckey: Optional[tuple[int, int]] = None
+        self._hash: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -123,7 +123,9 @@ class Graph:
                 and self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.vertices, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph({self.n} vertices, {self.m} edges)"
@@ -246,31 +248,27 @@ def _mask_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@lru_cache(maxsize=None)
-def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """bit[i][j] == bit[j][i]: the bit of edge {i, j} in the n-vertex edge mask."""
-    bit = [[0] * n for _ in range(n)]
-    for k, (i, j) in enumerate(_mask_pairs(n)):
-        bit[i][j] = bit[j][i] = 1 << k
-    return tuple(map(tuple, bit))
-
-
 def _edges_of_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
     pairs = _mask_pairs(n)
     return tuple(pairs[k] for k in bits_of(mask))
 
 
 def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
-    """Iterated degree refinement; the resulting color order is invariant."""
+    """Iterated degree refinement; the resulting color order is invariant.
+
+    Refinement only splits classes, so it is stable once a round adds none.
+    """
     colors = [0] * n
+    classes = 1
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
+        sigs = [(colors[v], tuple(sorted(map(colors.__getitem__, adj[v]))))
                 for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
+        distinct = sorted(set(sigs))
+        if len(distinct) == classes:
             return colors
-        colors = new
+        rank = {s: i for i, s in enumerate(distinct)}
+        colors = [rank[s] for s in sigs]
+        classes = len(distinct)
 
 
 def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -280,34 +278,55 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     color classes, so restricting the minimum to color-respecting orderings
     yields the same value for isomorphic graphs while skipping most of the
     n! relabellings.
+
+    The minimum is found from the top bits down. Once positions n-1..p+1
+    are filled, the pairs whose lower position is p are the next-highest
+    bits, so positions are filled from n-1 down and each level keeps only
+    the partial placements whose bits so far are minimal. Placements whose
+    unplaced vertices have the same adjacency to the filled positions have
+    the same completions, so they are merged.
     """
     edges = list(edges)
     if n <= 1:
         return 0
     adj: list[list[int]] = [[] for _ in range(n)]
+    # vertex u's adjacency to the filled positions is the n-bit field at u*n
+    spread = [0] * n
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
+        spread[i] |= 1 << (j * n)
+        spread[j] |= 1 << (i * n)
     colors = _refine_colors(n, adj)
-    classes: dict[int, list[int]] = {}
+    field = [((1 << n) - 1) << (v * n) for v in range(n)]
+    blocks: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    blocks = [tuple(classes[c]) for c in sorted(classes)]
-    bit = _edge_bits(n)
-    best: Optional[int] = None
-    place = [0] * n
-    for arrangement in product(*(permutations(b) for b in blocks)):
-        pos = 0
-        for block in arrangement:
-            for v in block:
-                place[v] = pos
-                pos += 1
-        m = 0
-        for i, j in edges:
-            m |= bit[place[i]][place[j]]
-        if best is None or m < best:
-            best = m
-    return best
+        blocks.setdefault(c, []).append(v)
+    level_blocks = [blocks[c] for c in sorted(colors)]
+    states = {(0, 0)}  # (fields of the placed vertices, adjacency fields)
+    mask = 0
+    offset = n * (n - 1) // 2
+    for p in range(n - 1, -1, -1):
+        offset -= n - 1 - p  # the pairs (p, j), j > p, start at this bit
+        width = (1 << (n - 1 - p)) - 1
+        best = width + 1
+        keep = []
+        for placed, adjacency in states:
+            for v in level_blocks[p]:
+                if placed & field[v]:
+                    continue
+                chunk = adjacency >> (v * n + p + 1) & width
+                if chunk < best:
+                    best = chunk
+                    keep = [(placed, adjacency, v)]
+                elif chunk == best:
+                    keep.append((placed, adjacency, v))
+        mask |= best << offset
+        states = set()
+        for placed, adjacency, v in keep:
+            placed |= field[v]
+            states.add((placed, (adjacency | spread[v] << p) & ~placed))
+    return mask
 
 
 def graphs_isomorphic(g: Graph, h: Graph) -> bool:
@@ -316,22 +335,56 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
 
 # --- enumeration -------------------------------------------------------------
 
+def _adjacency(n: int, mask: int) -> list[int]:
+    """Neighbor bitmask of each vertex of an n-vertex edge mask."""
+    pairs = _mask_pairs(n)
+    adj = [0] * n
+    for k in bits_of(mask):
+        i, j = pairs[k]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _induces_connected(adj: list[int], alive: int) -> bool:
+    """Whether the vertices in the bitmask ``alive`` induce a connected graph."""
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        for v in bits_of(frontier):
+            reach |= adj[v]
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen == alive
+
+
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
     """Canonical edge masks of connected graphs on n vertices, up to iso,
     in increasing order.
 
-    Built by attaching a new vertex with every non-empty neighborhood to each
-    smaller class; every connected graph arises this way because removing a
-    non-cut vertex keeps the rest connected.
+    Built by attaching a new vertex v with every non-empty neighborhood S to
+    each class on n-1 vertices, skipping the candidates where some other
+    vertex of degree below |S| is not a cut vertex. Every connected graph
+    still arises: it has a least-degree non-cut vertex, and removing that
+    vertex leaves a connected graph on n-1 vertices.
     """
     if n == 1:
         return (0,)
+    new = n - 1
+    everyone = (1 << n) - 1
     seen: set[int] = set()
-    for hmask in _connected_class_masks(n - 1):
-        h_edges = _edges_of_mask(n - 1, hmask)
-        for s in range(1, 1 << (n - 1)):
-            seen.add(canonical_mask(n, h_edges + tuple((i, n - 1) for i in bits_of(s))))
+    for hmask in _connected_class_masks(new):
+        h_edges = _edges_of_mask(new, hmask)
+        h_adj = _adjacency(new, hmask)
+        for s in range(1, 1 << new):
+            degree = s.bit_count()
+            adj = [a | (s >> u & 1) << new for u, a in enumerate(h_adj)] + [s]
+            if any(adj[u].bit_count() < degree
+                   and _induces_connected(adj, everyone & ~(1 << u))
+                   for u in range(new)):
+                continue
+            seen.add(canonical_mask(n, h_edges + tuple((i, new) for i in bits_of(s))))
     return tuple(sorted(seen))
 
 
@@ -358,9 +411,8 @@ def enumerate_connected_graphs(n: int, dedup: bool = False,
     for mask in masks:
         if max_edges is not None and mask.bit_count() > max_edges:
             continue
-        g = _graph_from_mask(n, mask)
-        if dedup or g.is_connected():
-            yield g
+        if dedup or _induces_connected(_adjacency(n, mask), (1 << n) - 1):
+            yield _graph_from_mask(n, mask)
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:

@@ -331,7 +331,8 @@ def minimal_ground_set(g: Graph, mode: str,
         raise ValueError(f"element bound must be non-negative, got {element_bound}")
     if element_bound > 10:
         raise ValueError("element bound capped at 10")
-    max_size = TOPOLOGY_GROUND_CAP if mode != "iasgl" else DEFAULT_GROUND_CAP
+    # only top_iasl reads the topology table; top_iasgl filters the graceful core
+    max_size = TOPOLOGY_GROUND_CAP if mode == "top_iasl" else DEFAULT_GROUND_CAP
     pool = range(1, element_bound + 1)
     for size in range(1, max_size + 1):
         # graceful labelings pin the edge count to 2^|X| - 2, and an injective

@@ -235,6 +235,11 @@ class TestMinGroundSet:
         assert payload["found"] is False
         assert payload["ground"] is None
 
+    def test_top_iasgl_over_five_elements(self, capsys, tmp_path):
+        g = tmp_path / "g.txt"
+        g.write_text("".join(f"c l{i}\n" for i in range(1, 31)))
+        code, out, _ = run(capsys, "min-ground-set", "--mode", "top-iasgl", str(g))
+        assert (code, out.strip()) == (0, "{0,1,2,3,4}")
 
     @pytest.mark.parametrize("command", ["search", "min-ground-set"])
     @pytest.mark.parametrize("mode", ["top_iasl", "foo"])

@@ -1,10 +1,13 @@
 """Graph parsing, structure reports, canonical forms, and enumeration."""
 
 import hashlib
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iasl_lab import graphs
 from iasl_lab import (EnumerationInfeasible, Graph, GraphParseError,
                       canonical_mask, complete, complete_bipartite, cycle,
                       enumerate_connected_graphs, enumerate_trees,
@@ -19,6 +22,63 @@ TREE_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
 AT_MOST_N_EDGES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8, 6: 19, 7: 44}
 # SHA-256 of repr([(g.n, g.edges)]) over every class with n <= 7, in order
 CLASSES_SHA256 = "fc895c815f6d5437e2daa4399494cb777cfb2d11424a1be640d5eea9623aa928"
+# connected graphs on 8 vertices up to isomorphism (OEIS A001349)
+CONNECTED_CLASSES_8 = 11117
+
+
+def reference_canonical_mask(n, edges):
+    """The definition canonical_mask must match: the least edge mask over
+    every ordering that places the refinement color classes in color order,
+    each permuted freely."""
+    edges = list(edges)
+    if n <= 1:
+        return 0
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    colors = [0] * n
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
+                for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    blocks = [tuple(v for v in range(n) if colors[v] == c)
+              for c in sorted(set(colors))]
+    bit = {}
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        bit[i, j] = bit[j, i] = 1 << k
+    best = None
+    for arrangement in product(*(permutations(b) for b in blocks)):
+        place = {v: p for p, v in enumerate(v for block in arrangement for v in block)}
+        m = 0
+        for i, j in edges:
+            m |= bit[place[i], place[j]]
+        if best is None or m < best:
+            best = m
+    return best
+
+
+def labeled_edge_lists(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+
+
+def unfiltered_class_masks(n):
+    """Every non-empty neighborhood of a new vertex on every smaller class."""
+    if n == 1:
+        return {0}
+    out = set()
+    for hmask in unfiltered_class_masks(n - 1):
+        h_edges = graphs._edges_of_mask(n - 1, hmask)
+        for s in range(1, 1 << (n - 1)):
+            attach = tuple((i, n - 1) for i in range(n - 1) if s >> i & 1)
+            out.add(canonical_mask(n, h_edges + attach))
+    return out
 
 
 class TestParse:
@@ -113,6 +173,22 @@ class TestCanonicalForm:
         permuted = [(perm[i], perm[j]) for i, j in edges]
         assert canonical_mask(n, edges) == canonical_mask(n, permuted)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_reference_on_every_labeled_graph(self, n):
+        for edges in labeled_edge_lists(n):
+            assert canonical_mask(n, edges) == reference_canonical_mask(n, edges)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_reference_on_shuffled_edge_lists(self, n):
+        rng = random.Random(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(300):
+            density = rng.random()
+            edges = [(j, i) if rng.random() < 0.5 else (i, j)
+                     for i, j in pairs if rng.random() < density]
+            rng.shuffle(edges)
+            assert canonical_mask(n, edges) == reference_canonical_mask(n, edges)
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_classes_distinct_by_brute_force(self, n):
         # independent certificate that dedup never merges non-isomorphic
@@ -152,6 +228,22 @@ class TestEnumeration:
         assert len(bounded) == AT_MOST_N_EDGES[n]
         every = list(enumerate_connected_graphs(n, dedup=True))
         assert bounded == [g for g in every if g.m <= n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_filtered_build_matches_unfiltered(self, n):
+        assert graphs._connected_class_masks(n) == tuple(sorted(unfiltered_class_masks(n)))
+
+    def test_class_count_on_eight_vertices(self):
+        # past the enumeration cap, through the internal builder
+        assert graphs.ENUMERATION_VERTEX_CAP == 7
+        assert len(graphs._connected_class_masks(8)) == CONNECTED_CLASSES_8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_labeled_mode_matches_graph_connectivity_filter(self, n):
+        expected = [g for g in (graphs._graph_from_mask(n, mask)
+                                for mask in range(1 << (n * (n - 1) // 2)))
+                    if g.is_connected()]
+        assert list(enumerate_connected_graphs(n)) == expected
 
     def test_classes_and_their_order_are_pinned(self):
         classes = [(g.n, g.edges) for n in range(1, 8)

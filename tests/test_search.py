@@ -352,6 +352,14 @@ class TestMinimalGroundSet:
     def test_k2_has_none(self):
         assert minimal_ground_set(path(2), "iasgl") is None
 
+    def test_top_iasgl_is_not_held_to_the_topology_cap(self):
+        # 30 edges = 2^5 - 2, so only 5-element ground sets can fit; the
+        # mode filters the graceful core and never reads the topology table
+        x = minimal_ground_set(star(30), "top_iasgl")
+        assert str(x) == "{0,1,2,3,4}"
+        assert search_top_iasgl(star(30), x).found
+        assert minimal_ground_set(star(30), "top_iasl") is None
+
     def test_k2_top_iasl(self):
         assert str(minimal_ground_set(path(2), "top_iasl")) == "{0,1}"
 
