@@ -12,9 +12,9 @@ from .graphs import (Graph, GraphParseError, GraphStructure, canonical_mask,
                      enumerate_connected_graphs, enumerate_trees,
                      graphs_isomorphic, parse_graph, path, star, structure)
 from .intsets import (DEFAULT_GROUND_CAP, DEFAULT_MAX_ELEMENT,
-                      EnumerationInfeasible, GroundSet, IntSet, SubsetClass,
-                      SumsetClassification, all_nonempty_subsets, classify,
-                      summand_decompositions, sumset)
+                      EnumerationInfeasible, GroundSet, IntSet, ParseError,
+                      SubsetClass, SumsetClassification, all_nonempty_subsets,
+                      classify, summand_decompositions, sumset)
 from .labelings import (IncompleteLabelingError, Labeling, LabelingParseError,
                         SetIndexingReport, VerificationReport, Violation,
                         induced_edge_labels, parse_labeling,

@@ -9,19 +9,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .intsets import EnumerationInfeasible, bits_of
+from .intsets import EnumerationInfeasible, ParseError, bits_of, text_lines
 
 ENUMERATION_VERTEX_CAP = 7
 
 
-class GraphParseError(ValueError):
-    """Malformed edge-list input; carries the offending line number."""
+class GraphParseError(ParseError):
+    """Malformed edge-list input."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Neighbor bitmask of each of n vertices, from (i, j) index pairs."""
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def _induces_connected(adj: Sequence[int], alive: int) -> bool:
+    """Whether the vertices in the bitmask ``alive`` induce a connected graph,
+    given each vertex's neighbor bitmask."""
+    seen = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        for v in bits_of(frontier):
+            reach |= adj[v]
+        frontier = reach & alive & ~seen
+        seen |= frontier
+    return seen == alive
 
 
 class Graph:
@@ -54,11 +72,7 @@ class Graph:
         self.vertices = vs
         self._index = index
         self.edges = tuple(sorted(pairs))
-        adj = [[] for _ in vs]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = tuple(_adjacency(len(vs), self.edges))
         self._ckey: Optional[tuple[int, int]] = None
         self._hash: Optional[int] = None
 
@@ -74,28 +88,19 @@ class Graph:
         return v in self._index
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(self.vertices[j] for j in self._adj[self._index[v]])
+        return tuple(self.vertices[j] for j in bits_of(self._adj[self._index[v]]))
 
     def degree(self, v: str) -> int:
-        return len(self._adj[self._index[v]])
+        return self._adj[self._index[v]].bit_count()
 
     def degrees(self) -> dict[str, int]:
-        return {v: len(self._adj[i]) for i, v in enumerate(self.vertices)}
+        return {v: a.bit_count() for v, a in zip(self.vertices, self._adj)}
 
     def edge_names(self) -> list[tuple[str, str]]:
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edges]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self._adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        return _induces_connected(self._adj, (1 << self.n) - 1)
 
     def canonical_key(self) -> tuple[int, int]:
         """Isomorphism-invariant key (vertex count, minimal edge mask)."""
@@ -148,10 +153,7 @@ def parse_graph(text: str) -> Graph:
             seen_vertices.add(v)
             order.append(v)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         tokens = line.split()
         if len(tokens) == 1:
             declare(tokens[0])
@@ -335,29 +337,6 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
 
 # --- enumeration -------------------------------------------------------------
 
-def _adjacency(n: int, mask: int) -> list[int]:
-    """Neighbor bitmask of each vertex of an n-vertex edge mask."""
-    pairs = _mask_pairs(n)
-    adj = [0] * n
-    for k in bits_of(mask):
-        i, j = pairs[k]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
-
-
-def _induces_connected(adj: list[int], alive: int) -> bool:
-    """Whether the vertices in the bitmask ``alive`` induce a connected graph."""
-    seen = frontier = alive & -alive
-    while frontier:
-        reach = 0
-        for v in bits_of(frontier):
-            reach |= adj[v]
-        frontier = reach & alive & ~seen
-        seen |= frontier
-    return seen == alive
-
-
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
     """Canonical edge masks of connected graphs on n vertices, up to iso,
@@ -376,7 +355,7 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
     seen: set[int] = set()
     for hmask in _connected_class_masks(new):
         h_edges = _edges_of_mask(new, hmask)
-        h_adj = _adjacency(new, hmask)
+        h_adj = _adjacency(new, h_edges)
         for s in range(1, 1 << new):
             degree = s.bit_count()
             adj = [a | (s >> u & 1) << new for u, a in enumerate(h_adj)] + [s]
@@ -411,7 +390,8 @@ def enumerate_connected_graphs(n: int, dedup: bool = False,
     for mask in masks:
         if max_edges is not None and mask.bit_count() > max_edges:
             continue
-        if dedup or _induces_connected(_adjacency(n, mask), (1 << n) - 1):
+        if dedup or _induces_connected(_adjacency(n, _edges_of_mask(n, mask)),
+                                       (1 << n) - 1):
             yield _graph_from_mask(n, mask)
 
 

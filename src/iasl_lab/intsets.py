@@ -10,6 +10,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -19,9 +20,31 @@ DEFAULT_GROUND_CAP = 5
 
 ZERO_MASK = 1  # bit mask of the set {0}
 
+# an element of a set literal: ASCII digits; a negative number also matches,
+# so that the range check of IntSet can name it
+_ELEMENT = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
+
 
 class EnumerationInfeasible(ValueError):
     """An exhaustive operation would exceed its configured cap."""
+
+
+class ParseError(ValueError):
+    """Malformed input text; ``line`` is the offending line number, or None
+    when the error concerns the whole text."""
+
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, content) of every line of the text file formats, with
+    the ``#`` comment and surrounding whitespace cut; blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -77,7 +100,10 @@ class IntSet:
 
     @classmethod
     def parse(cls, text: str) -> "IntSet":
-        """Parse a set literal: ``{0,1,3}``, bare ``0,1,3``, ``{}`` or ``∅``."""
+        """Parse a set literal: ``{0,1,3}``, bare ``0,1,3``, ``{}`` or ``∅``.
+
+        Each element is ASCII digits, with spaces around it allowed.
+        """
         body = text.strip()
         if body == "∅":
             return cls.from_mask(0)
@@ -91,11 +117,10 @@ class IntSet:
             if body == "":
                 raise ValueError("empty set literal")
             inner = body
-        try:
-            elems = [int(part) for part in inner.split(",")]
-        except ValueError:
-            raise ValueError(f"bad set literal {text!r}") from None
-        return cls(elems)
+        parts = [part.strip() for part in inner.split(",")]
+        if not all(_ELEMENT.fullmatch(part) for part in parts):
+            raise ValueError(f"bad set literal {text!r}")
+        return cls(map(int, parts))
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -233,6 +258,17 @@ def all_nonempty_subsets(x: GroundSet) -> list[IntSet]:
     return [IntSet.from_mask(m) for m in x.subset_masks()]
 
 
+@lru_cache(maxsize=None)
+def _sum_bits(x: GroundSet) -> tuple[tuple[int, ...], ...]:
+    """The sumset table of P(X): entry [p][q] has the bit of the position of
+    the sumset of the p-th and q-th non-empty subsets of X (canonical order)
+    set, or is 0 when that sumset leaves X."""
+    masks = x.subset_masks()
+    bit = {m: 1 << p for p, m in enumerate(masks)}
+    return tuple(tuple(bit.get(sumset_mask(a, b), 0) for b in masks)
+                 for a in masks)
+
+
 def summand_decompositions(c: IntSet, x: GroundSet) -> list[tuple[IntSet, IntSet]]:
     """All unordered pairs (A, B) of non-empty subsets of X with A + B = c.
 
@@ -244,12 +280,10 @@ def summand_decompositions(c: IntSet, x: GroundSet) -> list[tuple[IntSet, IntSet
     if c.mask & ~x.mask:
         raise ValueError(f"{c} is not a subset of the ground set {x}")
     subs = x.subset_masks()
-    out = []
-    for i, a in enumerate(subs):
-        for b in subs[i:]:
-            if sumset_mask(a, b) == c.mask:
-                out.append((IntSet.from_mask(a), IntSet.from_mask(b)))
-    return out
+    target = 1 << subs.index(c.mask)
+    return [(IntSet.from_mask(subs[p]), IntSet.from_mask(subs[q]))
+            for p, row in enumerate(_sum_bits(x))
+            for q in range(p, len(subs)) if row[q] == target]
 
 
 @dataclass(frozen=True)
@@ -306,26 +340,24 @@ def classify(x: GroundSet) -> SumsetClassification:
     callers must not modify ``per_subset``.
     """
     subs = x.subset_masks()
-    xmask = x.mask
+    sums = _sum_bits(x)
+    # sum bit -> the first pair of subsets, by position p <= q, that adds up
+    # to it; position 0 holds {0}, the trivial summand
     witness: dict[int, tuple[int, int]] = {}
-    summands: set[int] = set()
-    nonzero = [m for m in subs if m != ZERO_MASK]
-    for i, a in enumerate(nonzero):
-        for b in nonzero[i:]:
-            s = sumset_mask(a, b)
-            if s & ~xmask:
-                continue
-            if s not in witness:
-                witness[s] = (a, b)
-            summands.add(a)
-            summands.add(b)
+    summands = 0
+    for p in range(1, len(subs)):
+        row = sums[p]
+        for q in range(p, len(subs)):
+            if row[q]:
+                witness.setdefault(row[q], (subs[p], subs[q]))
+                summands |= 1 << p | 1 << q
     per: dict[IntSet, SubsetClass] = {}
     rho = 0
     neither = 0
-    for m in subs:
-        is_sum = m in witness
-        is_summand = m in summands
-        wit = witness.get(m)
+    for p, m in enumerate(subs):
+        wit = witness.get(1 << p)
+        is_sum = wit is not None
+        is_summand = bool(summands >> p & 1)
         per[IntSet.from_mask(m)] = SubsetClass(
             is_sum, is_summand,
             None if wit is None else (IntSet.from_mask(wit[0]), IntSet.from_mask(wit[1])))
@@ -338,5 +370,5 @@ def classify(x: GroundSet) -> SumsetClassification:
         rho=rho,
         rho_prime=neither,
         rho_double_prime=neither,
-        x_is_sumset=xmask in witness,
+        x_is_sumset=1 << (len(subs) - 1) in witness,
     )

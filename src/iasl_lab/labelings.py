@@ -14,15 +14,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph
-from .intsets import GroundSet, IntSet, ZERO_MASK, sumset_mask
+from .intsets import (GroundSet, IntSet, ParseError, ZERO_MASK, sumset_mask,
+                      text_lines)
 
 
-class LabelingParseError(ValueError):
-    """Malformed labeling file; carries the offending line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class LabelingParseError(ParseError):
+    """Malformed labeling file."""
 
 
 class IncompleteLabelingError(ValueError):
@@ -58,30 +55,24 @@ def parse_labeling(text: str) -> Labeling:
     ``vertex {a,b,c}`` line per vertex. ``#`` comments and blanks allowed."""
     ground: Optional[GroundSet] = None
     assignment: dict[str, IntSet] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise LabelingParseError(lineno, "expected 'name {set literal}'")
         name, literal = parts
-        if ground is None:
-            if name != "X":
-                raise LabelingParseError(lineno, "first line must declare the ground set: X {...}")
-            try:
-                ground = GroundSet.parse(literal)
-            except ValueError as exc:
-                raise LabelingParseError(lineno, str(exc)) from None
-            continue
+        if ground is None and name != "X":
+            raise LabelingParseError(lineno, "first line must declare the ground set: X {...}")
         if name in assignment:
             raise LabelingParseError(lineno, f"vertex {name!r} labeled twice")
         try:
-            assignment[name] = IntSet.parse(literal)
+            if ground is None:
+                ground = GroundSet.parse(literal)
+            else:
+                assignment[name] = IntSet.parse(literal)
         except ValueError as exc:
             raise LabelingParseError(lineno, str(exc)) from None
     if ground is None:
-        raise LabelingParseError(0, "missing ground set header 'X {...}'")
+        raise LabelingParseError(None, "missing ground set header 'X {...}'")
     return Labeling(ground, assignment)
 
 

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
-                      SumsetClassification, classify, sumset_mask)
+                      SumsetClassification, _sum_bits, classify)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
@@ -139,17 +139,6 @@ def _search_order(g: Graph) -> tuple[list[str], list[list[int]]]:
         else:
             earlier[i].append(j)
     return order, earlier
-
-
-@lru_cache(maxsize=None)
-def _sum_bits(x: GroundSet) -> tuple[tuple[int, ...], ...]:
-    """Entry [p][q] has the bit of the position of the sumset of the p-th and
-    q-th non-empty subsets of X (canonical order) set, or is 0 when that
-    sumset leaves X."""
-    masks = x.subset_masks()
-    bit = {m: 1 << p for p, m in enumerate(masks)}
-    return tuple(tuple(bit.get(sumset_mask(a, b), 0) for b in masks)
-                 for a in masks)
 
 
 @lru_cache(maxsize=None)

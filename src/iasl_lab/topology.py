@@ -14,20 +14,16 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional
 
 from .graphs import Graph
-from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
-                      bits_of, subset_sort_key)
+from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ParseError,
+                      ZERO_MASK, bits_of, subset_sort_key, text_lines)
 from .labelings import (Labeling, VerificationReport, Violation,
                         _graceful_rule, _verify)
 
 TOPOLOGY_GROUND_CAP = 4
 
 
-class TopologyParseError(ValueError):
-    """Malformed topology file; carries the offending line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class TopologyParseError(ParseError):
+    """Malformed topology file."""
 
 
 class NotRealizableError(ValueError):
@@ -79,16 +75,13 @@ class Topology:
 def parse_topology(text: str) -> Topology:
     """One subset literal per line; ``∅`` or ``{}`` for the empty set."""
     members = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in text_lines(text):
         try:
             members.append(IntSet.parse(line))
         except ValueError as exc:
             raise TopologyParseError(lineno, str(exc)) from None
     if not members:
-        raise TopologyParseError(0, "empty topology file")
+        raise TopologyParseError(None, "empty topology file")
     return Topology.from_family(members)
 
 

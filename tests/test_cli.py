@@ -328,3 +328,50 @@ class TestExitCodeContract:
         code, _, err = run(capsys, "verify", "--class", "iasl",
                            "/nonexistent/g.txt", "/nonexistent/f.txt")
         assert code == 2
+
+
+LOOSE_LITERALS = ["{1_0}", "{+1}", "{\u0663}"]  # 10, 1 and 3 to int()
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("literal", LOOSE_LITERALS)
+    def test_loose_literal_argument_exits_two(self, capsys, literal):
+        code, out, err = run(capsys, "classify", literal.replace("{", "{0,"))
+        assert code == 2
+        assert out == ""
+        assert "bad set literal" in err
+
+    @pytest.mark.parametrize("literal", LOOSE_LITERALS)
+    def test_loose_literal_in_a_labeling_file(self, capsys, tmp_path, k12,
+                                              literal):
+        g, _ = k12
+        f = tmp_path / "f.txt"
+        f.write_text(f"X {{0,1,10}}\nc {{0}}\nl1 {literal}\nl2 {{0,1}}\n",
+                     encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--class", "iasl", g, str(f))
+        assert code == 2
+        assert err.startswith("error: line 3: bad set literal")
+
+    @pytest.mark.parametrize("literal", LOOSE_LITERALS)
+    def test_loose_literal_in_a_topology_file(self, capsys, tmp_path, literal):
+        t = tmp_path / "t.txt"
+        t.write_text(f"∅\n{{0}}\n{literal}\n{{0,1}}\n", encoding="utf-8")
+        code, out, err = run(capsys, "realize", str(t))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 3: bad set literal")
+
+    def test_comment_only_topology_file_has_no_line(self, capsys, tmp_path):
+        t = tmp_path / "t.txt"
+        t.write_text("# nothing here\n\n")
+        code, _, err = run(capsys, "realize", str(t))
+        assert code == 2
+        assert err == "error: empty topology file\n"
+
+    def test_missing_header_has_no_line(self, capsys, tmp_path, k12):
+        g, _ = k12
+        f = tmp_path / "f.txt"
+        f.write_text("# no header\n")
+        code, _, err = run(capsys, "verify", "--class", "iasl", g, str(f))
+        assert code == 2
+        assert err == "error: missing ground set header 'X {...}'\n"

@@ -1,10 +1,14 @@
-"""Generated round-trip properties for the three file formats."""
+"""Generated round-trip properties and the shared line rule of the three
+file formats."""
 
+import pytest
 from hypothesis import given, strategies as st
 
-from iasl_lab import (Graph, GroundSet, IntSet, Labeling, Topology,
-                      all_nonempty_subsets, enumerate_topologies,
-                      parse_graph, parse_labeling, parse_topology)
+from iasl_lab import (Graph, GraphParseError, GroundSet, IntSet, Labeling,
+                      LabelingParseError, ParseError, Topology,
+                      TopologyParseError, all_nonempty_subsets,
+                      enumerate_topologies, parse_graph, parse_labeling,
+                      parse_topology)
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True)
 
@@ -57,3 +61,26 @@ def test_topology_emit_reparses_identically(n, data):
 def test_set_literal_round_trip(elems):
     s = IntSet(elems)
     assert IntSet.parse(str(s)) == s
+
+
+# (parser, its error, three good lines, a bad line) per format
+FORMATS = {
+    "graph": (parse_graph, GraphParseError, ["a b", "b c", "d"], "a b c"),
+    "labeling": (parse_labeling, LabelingParseError,
+                 ["X {0,1}", "a {0}", "b {1}"], "c {1_0}"),
+    "topology": (parse_topology, TopologyParseError, ["∅", "{0}", "{0,1}"],
+                 "{+1}"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_formats_share_one_line_rule(fmt):
+    parse, error, good, bad = FORMATS[fmt]
+    plain = parse("\n".join(good) + "\n")
+    decorated = parse(f"{good[0]}  # a comment\r\n\r\n{good[1]}#\r\n{good[2]}\r\n")
+    assert decorated == plain
+    with pytest.raises(error) as err:
+        parse(f"{good[0]}  # a comment\r\n\r\n{bad}\r\n{good[2]}\r\n")
+    assert isinstance(err.value, ParseError)
+    assert err.value.line == 3
+    assert str(err.value).startswith("line 3: ")

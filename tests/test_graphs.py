@@ -290,6 +290,31 @@ class TestEnumeration:
         assert first == second
 
 
+def mask_connected(n, mask):
+    """Connectivity of an n-vertex edge mask by repeated merging of the
+    vertex sets that an edge joins."""
+    parts = [1 << v for v in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        if mask >> k & 1:
+            pi = next(p for p in parts if p >> i & 1)
+            pj = next(p for p in parts if p >> j & 1)
+            if pi != pj:
+                parts = [p for p in parts if p not in (pi, pj)] + [pi | pj]
+    return len(parts) <= 1
+
+
+class TestConnectivity:
+    # n = 0 and n = 1 are the empty and the one-vertex graph
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_matches_mask_check_on_every_labeled_graph(self, n):
+        names = [f"v{i}" for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = Graph(names, [(names[i], names[j])
+                              for k, (i, j) in enumerate(pairs) if mask >> k & 1])
+            assert g.is_connected() == mask_connected(n, mask)
+
+
 class TestGraphInvariants:
     def test_rejects_loops(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Sumset arithmetic and power-set classification against independent oracles."""
 
+import contextlib
+import hashlib
+import io
 from itertools import combinations
 
 import pytest
@@ -8,6 +11,11 @@ from hypothesis import given, strategies as st
 from iasl_lab import (EnumerationInfeasible, GroundSet, IntSet,
                       all_nonempty_subsets, classify, summand_decompositions,
                       sumset)
+from iasl_lab.cli import main
+
+# SHA-256 over `classify --json` and every subset's summand decompositions,
+# for X = {0} plus up to four elements of 1..7 (see test_outputs_are_pinned)
+CLASSIFY_SHA256 = "145d53e994bdf800b82fd718e74c31d3b1818a093b22ae90e3e85cbf4c162a84"
 
 small_sets = st.frozensets(st.integers(min_value=0, max_value=5), min_size=1)
 
@@ -60,10 +68,16 @@ class TestIntSet:
     def test_parse(self, text, expected):
         assert IntSet.parse(text).elements == expected
 
-    @pytest.mark.parametrize("text", ["", "{1,2", "{a}", "1;2"])
+    # int() would read {1_0} as {10}, {+1} as {1} and {\u0663} as {3}
+    @pytest.mark.parametrize("text", ["", "{1,2", "{a}", "1;2", "{1_0}", "{+1}",
+                                      "{\u0663}", "{-0}", "1_0"])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             IntSet.parse(text)
+
+    def test_parse_names_a_negative_element(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            IntSet.parse("{0,-01}")
 
     def test_format_is_braced_and_sorted(self):
         assert str(IntSet((2, 0))) == "{0,2}"
@@ -258,3 +272,18 @@ class TestClassify:
         assert cls.rho_prime == neither
         assert cls.rho_double_prime == cls.rho_prime
         assert cls.x_is_sumset == (ground in sums)
+
+    def test_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        for k in range(5):
+            for rest in combinations(range(1, 8), k):
+                x = GroundSet((0,) + rest)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["classify", str(x), "--json"]) == 0
+                digest.update(out.getvalue().encode())
+                for m in x.subset_masks():
+                    for a, b in summand_decompositions(IntSet.from_mask(m), x):
+                        digest.update(f"{a}+{b};".encode())
+                    digest.update(b"\n")
+        assert digest.hexdigest() == CLASSIFY_SHA256
