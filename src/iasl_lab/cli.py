@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -42,6 +43,14 @@ def _search_mode(name: str) -> str:
     return modes[name]
 
 
+def integer(text: str) -> int:
+    """An optional '-' then ASCII digits; int() would also take '+', '_' and
+    the digits of other scripts."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _emit_json(payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
     print(json.dumps(payload, indent=2))
@@ -56,7 +65,7 @@ def _cmd_verify(args) -> int:
     cls = args.cls
     k = None
     if cls.startswith("uniform:"):
-        k = int(cls.split(":", 1)[1])
+        k = integer(cls.split(":", 1)[1])
         cls = "uniform"
     elif cls == "uniform":
         raise ValueError("uniform class needs a degree, e.g. --class uniform:2")
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-ground-set", help="smallest ground set admitting a labeling")
     p.add_argument("--mode", required=True, help="iasgl | top-iasl | top-iasgl")
-    p.add_argument("--max-element", type=int, default=6)
+    p.add_argument("--max-element", type=integer, default=6)
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_min_ground_set)
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the theorem-checking suite")
     p.add_argument("ids", nargs="+",
                    help=f"'all' or any of: {', '.join(ORACLE_CHECKS)}")
-    p.add_argument("--max-vertices", type=int, default=6)
+    p.add_argument("--max-vertices", type=integer, default=6)
     p.add_argument("--ground-set", action="append", default=[],
                    help="ground set literal (repeatable); default {0,1} and {0,1,2}")
     p.add_argument("--json", action="store_true")

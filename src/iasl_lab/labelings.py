@@ -169,6 +169,14 @@ def _iasi_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
     return violations
 
 
+def _sums_in_x_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
+    """The IASI not-a-subset for each edge sum outside X, as f+: E(G) -> P(X)
+    asks; skipped when a vertex label already lies outside X."""
+    if edges is None or any(f.assignment[v].mask & ~f.ground.mask for v in g.vertices):
+        return []
+    return [v for v in _iasi_rule(g, f, edges) if v.kind == "not-a-subset"]
+
+
 def _graceful_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
     violations = []
     x = f.ground

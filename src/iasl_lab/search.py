@@ -22,8 +22,8 @@ from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
-from .topology import (TOPOLOGY_GROUND_CAP, Topology, _families_by_open_count,
-                       _topology, closed_family, enumerate_topologies)
+from .topology import (Topology, _families_by_open_count, _topology,
+                       closed_family, enumerate_topologies)
 
 
 @dataclass(frozen=True)
@@ -278,8 +278,12 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
 
 
 def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
-    """First topological labeling of g over X, or proof of absence."""
+    """First topological labeling of g over X, or proof of absence; none
+    when every vertex has degree ≥ 2, since X + A ⊆ X forces A = {0}, so
+    the vertex labeled X has at most one neighbour."""
     def assignments(g, x, counter):
+        if all(d >= 2 for d in g.degrees().values()):
+            return ()
         return (masks for _t, masks in iter_top_iasl_assignments(g, x, counter))
     return _first_found(g, x, assignments, None)
 
@@ -320,15 +324,11 @@ def minimal_ground_set(g: Graph, mode: str,
         raise ValueError(f"element bound must be non-negative, got {element_bound}")
     if element_bound > 10:
         raise ValueError("element bound capped at 10")
-    # only top_iasl reads the topology table; top_iasgl filters the graceful core
-    max_size = TOPOLOGY_GROUND_CAP if mode == "top_iasl" else DEFAULT_GROUND_CAP
     pool = range(1, element_bound + 1)
-    for size in range(1, max_size + 1):
-        # graceful labelings pin the edge count to 2^|X| - 2, and an injective
-        # labeling has at most 2^|X| - 1 labels, so skip sizes that cannot match
-        if mode in ("iasgl", "top_iasgl") and g.m != (1 << size) - 2:
-            continue
-        if g.n > (1 << size) - 1:
+    for size in range(1, DEFAULT_GROUND_CAP + 1):
+        # an injective labeling has at most 2^|X| - 1 labels, and graceful
+        # ones pin the edge count to 2^|X| - 2, so skip sizes that cannot match
+        if g.n >= 1 << size or (mode != "top_iasl" and g.m != (1 << size) - 2):
             continue
         candidates = [(0,) + combo for combo in combinations(pool, size - 1)]
         candidates.sort(key=lambda c: (c[-1], c))

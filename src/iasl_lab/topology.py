@@ -14,12 +14,10 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional
 
 from .graphs import Graph
-from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ParseError,
-                      ZERO_MASK, bits_of, subset_sort_key, text_lines)
+from .intsets import (GroundSet, IntSet, ParseError, ZERO_MASK, bits_of,
+                      subset_sort_key, text_lines)
 from .labelings import (Labeling, VerificationReport, Violation,
-                        _graceful_rule, _verify)
-
-TOPOLOGY_GROUND_CAP = 4
+                        _graceful_rule, _sums_in_x_rule, _verify)
 
 
 class TopologyParseError(ParseError):
@@ -156,17 +154,20 @@ def _families(k: int) -> tuple[int, ...]:
     A family is a bitset over the positions of its non-empty opens in the
     canonical order of the non-empty subsets, X's position being the last.
     The increasing bijection onto any ground set of size k keeps that order,
-    so position p reads as ``x.subset_masks()[p]`` there. Brute force over
-    the 2^(2^k - 2) families of proper non-empty subsets, so k is capped at
-    four.
+    so position p reads as ``x.subset_masks()[p]`` there. A topology is
+    fixed by its least open sets (Alexandroff): x ∈ U[x], and y ∈ U[x]
+    implies U[y] ⊆ U[x]; each U[x] is checked both ways against earlier U[y].
     """
-    if k > TOPOLOGY_GROUND_CAP:
-        raise EnumerationInfeasible(
-            f"topology enumeration capped at |X| = {TOPOLOGY_GROUND_CAP}, got {k}")
     masks = sorted(range(1, 1 << k), key=subset_sort_key)
-    top = 1 << (len(masks) - 1)  # X's bit
-    out = [fam for fam in range(top, top << 1)
-           if closed_family([masks[p] for p in bits_of(fam)], masks[-1])]
+    maps = [()]
+    for x in range(k):
+        bit = 1 << x
+        maps = [least + (u,) for least in maps for u in masks
+                if u & bit and not any(u >> y & 1 and v & ~u or v & bit and u & ~v
+                                       for y, v in enumerate(least))]
+    # a set is open when it holds the least open set of each of its points
+    out = [sum(1 << p for p, m in enumerate(masks)
+               if not any(least[x] & ~m for x in bits_of(m))) for least in maps]
     out.sort(key=lambda fam: (fam.bit_count(), tuple(bits_of(fam))))
     return tuple(out)
 
@@ -189,8 +190,7 @@ def enumerate_topologies(x: GroundSet,
                          require_zero_singleton: bool = False) -> list[Topology]:
     """All topologies on X in canonical order, optionally only those with {0}.
 
-    The table is built once per cardinality (``_families``), which caps the
-    ground set at four elements.
+    The table is built once per cardinality (``_families``).
     """
     # {0} is the first non-empty subset in canonical order
     return [_topology(x, fam) for fam in _families(x.size)
@@ -233,8 +233,8 @@ def _topology_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
 
 
 def verify_top_iasl(g: Graph, f: Labeling) -> VerificationReport:
-    """An IASL whose vertex-label family plus ∅ is a topology on X."""
-    return _verify(g, f, _topology_rule)
+    """An IASL, every edge sum in X, whose vertex labels plus ∅ are a topology."""
+    return _verify(g, f, _sums_in_x_rule, _topology_rule)
 
 
 def verify_top_iasgl(g: Graph, f: Labeling) -> VerificationReport:

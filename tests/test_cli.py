@@ -212,9 +212,15 @@ class TestEnumTopologies:
         assert {"opens": ["{}", "{0,1}"],
                 "is_topology": True} in payload["topologies"]
 
+    def test_five_elements(self, capsys):
+        code, out, _ = run(capsys, "enum-topologies", "{0,1,2,3,4}", "--count")
+        assert (code, out.strip()) == (0, "6942")
+
     def test_infeasible(self, capsys):
-        code, _, err = run(capsys, "enum-topologies", "{0,1,2,3,4}")
-        assert code == 2
+        # the ground-set cap refuses a sixth element
+        code, out, err = run(capsys, "enum-topologies", "{0,1,2,3,4,5}")
+        assert (code, out) == (2, "")
+        assert "ground set has 6 elements, cap is 5" in err
 
 
 class TestMinGroundSet:
@@ -331,6 +337,7 @@ class TestExitCodeContract:
 
 
 LOOSE_LITERALS = ["{1_0}", "{+1}", "{\u0663}"]  # 10, 1 and 3 to int()
+LOOSE_INTEGERS = ["1_0", "+1", "\u0663"]
 
 
 class TestInputErrors:
@@ -367,6 +374,33 @@ class TestInputErrors:
         code, _, err = run(capsys, "realize", str(t))
         assert code == 2
         assert err == "error: empty topology file\n"
+
+    @pytest.mark.parametrize("text", LOOSE_INTEGERS)
+    @pytest.mark.parametrize("option", ["--max-vertices", "--max-element"])
+    def test_loose_integer_option_exits_two(self, capsys, tmp_path, option, text):
+        g = tmp_path / "g.txt"
+        g.write_text(K12_GRAPH)
+        argv = (["oracle", "P1"] if option == "--max-vertices"
+                else ["min-ground-set", "--mode", "iasgl", str(g)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, text])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert f"invalid integer value: {text!r}" in out.err
+
+    @pytest.mark.parametrize("text", LOOSE_INTEGERS + ["x"])
+    def test_loose_uniform_degree_exits_two(self, capsys, k12, text):
+        g, f = k12
+        code, out, err = run(capsys, "verify", "--class", f"uniform:{text}", g, f)
+        assert (code, out) == (2, "")
+        assert err == f"error: not an integer: {text!r}\n"
+
+    def test_uniform_degree_out_of_range_keeps_the_library_message(self, capsys, k12):
+        g, f = k12
+        code, _, err = run(capsys, "verify", "--class", "uniform:0", g, f)
+        assert code == 2
+        assert err == "error: uniformity degree must be a positive integer\n"
 
     def test_missing_header_has_no_line(self, capsys, tmp_path, k12):
         g, _ = k12

@@ -326,7 +326,10 @@ PIPELINE_CASES = {
          "uniform:2": [("bad-edge-size", e, f"{BIG_EDGE} has 4 elements, expected 2")
                        for e in ("v1 v2", "v2 v3")],
          "iasgl": EDGE_FAULTS_GRACEFUL,
-         "top-iasl": [NOT_CLOSED],
+         # f+ maps E(G) into P(X): each edge sum outside X is reported as
+         # the IASI check reports it
+         "top-iasl": [("not-a-subset", e, f"{BIG_EDGE} is not a subset of X = {{0,1,2}}")
+                      for e in ("v1 v2", "v2 v3")] + [NOT_CLOSED],
          "top-iasgl": [NOT_CLOSED] + EDGE_FAULTS_GRACEFUL}),
     # a label outside X: the edge rules still run, the topology rule does not
     "out-of-x": (

@@ -130,6 +130,36 @@ class TestSearchTopIasl:
         labels = {str(s) for s in out.labeling.assignment.values()}
         assert labels == {"{0}", "{0,1}"}
 
+    def test_min_degree_two_is_ruled_out_before_the_core(self):
+        # the search reads no node, while the unpruned core still walks the
+        # cycle's solutions for the oracle's T-toppend to check
+        assert search_top_iasl(cycle(4), X012).nodes_explored == 0
+        counter = [0]
+        list(iter_top_iasl_assignments(cycle(4), X012, counter))
+        assert counter[0] > 0
+
+    def test_degree_rule_matches_the_unpruned_core(self):
+        # found and first labeling agree with the core's first yield on the
+        # empty graph, every connected class on <= 7 vertices, and two
+        # disconnected graphs (one of minimum degree 2), over every X that
+        # contains 0 inside {0,1,2,3}
+        from itertools import combinations
+        triangles = [("a", "b"), ("b", "c"), ("a", "c"),
+                     ("d", "e"), ("e", "f"), ("d", "f")]
+        graphs = [Graph([], []), Graph(["a", "b", "c"], [("a", "b")]),
+                  Graph(list("abcdef"), triangles)]
+        for n in range(1, 8):
+            graphs.extend(enumerate_connected_graphs(n, dedup=True))
+        grounds = [GroundSet((0,) + c) for r in range(4)
+                   for c in combinations((1, 2, 3), r)]
+        for g in graphs:
+            for x in grounds:
+                out = search_top_iasl(g, x)
+                first = next((m for _t, m in iter_top_iasl_assignments(g, x)), None)
+                assert out.found == (first is not None)
+                if out.found:
+                    assert {v: s.mask for v, s in out.labeling.assignment.items()} == first
+
     def test_edge_sums_stay_inside_ground_set(self):
         for g in (path(2), path(3), star(3)):
             out = search_top_iasl(g, X012)
@@ -358,7 +388,9 @@ class TestMinimalGroundSet:
         x = minimal_ground_set(star(30), "top_iasgl")
         assert str(x) == "{0,1,2,3,4}"
         assert search_top_iasgl(star(30), x).found
-        assert minimal_ground_set(star(30), "top_iasl") is None
+        # nor is top_iasl: the ground-set cap is the one size bound
+        for g in (star(30), path(8)):
+            assert str(minimal_ground_set(g, "top_iasl")) == "{0,1,2,3,4}"
 
     def test_k2_top_iasl(self):
         assert str(minimal_ground_set(path(2), "top_iasl")) == "{0,1}"

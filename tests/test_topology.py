@@ -9,10 +9,19 @@ from iasl_lab import (DegenerateTopologyError, GroundSet, IntSet, Labeling,
                       enumerate_topologies, is_topology, parse_graph,
                       parse_labeling, parse_topology, realize_topology,
                       verify_top_iasgl, verify_top_iasl)
-from iasl_lab.topology import closed_family
+from iasl_lab.topology import _families, closed_family
 
-# topologies on an n-element set, n = 1..4
-TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
+# topologies on an n-element set, n = 1..5 (OEIS A000798)
+TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
+
+# SHA-256 of repr(_families(k)) as a brute force over all 2^(2^k - 2)
+# families built it
+FAMILY_SHA256 = {
+    1: "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f",
+    2: "ebec466c93cdf15f194dcf25ff2b491fd6a809f44c7d9853ff6eeb195265b3f8",
+    3: "2462d4bb65771f4e76ad3cfa118d2f9e9113f7c1173babba9da4aed3b156ee01",
+    4: "105dcaf1027775d9b5ccdb9f3914bb632d5e4a614951da927845a930461809ce",
+}
 
 
 def sets(*families):
@@ -90,10 +99,25 @@ class TestIsTopology:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_counts(self, n):
         x = GroundSet(tuple(range(n)))
         assert len(enumerate_topologies(x)) == TOPOLOGY_COUNTS[n]
+
+    @pytest.mark.parametrize("k", sorted(FAMILY_SHA256))
+    def test_table_is_pinned(self, k):
+        import hashlib
+        digest = hashlib.sha256(repr(_families(k)).encode()).hexdigest()
+        assert digest == FAMILY_SHA256[k]
+
+    def test_five_point_families_are_distinct_closed_and_hold_x(self):
+        masks = GroundSet(tuple(range(5))).subset_masks()
+        families = _families(5)
+        assert len(set(families)) == len(families) == TOPOLOGY_COUNTS[5]
+        for fam in families:
+            assert fam >> (len(masks) - 1) & 1  # X's position is the last
+            assert closed_family([masks[p] for p in range(len(masks)) if fam >> p & 1],
+                                 masks[-1])
 
     @pytest.mark.parametrize("ground", [(0, 1), (0, 1, 2), (0, 2, 5)],
                              ids=["2", "3", "0,2,5"])
@@ -123,15 +147,17 @@ class TestEnumeration:
         assert ["{}", "{0}", "{1}", "{0,1}"] in families
 
     def test_cap(self):
+        # the ground-set cap is the only one: five elements enumerate and
+        # search, six are refused when the ground set is built
         from iasl_lab import (EnumerationInfeasible, iter_top_iasl_assignments,
                               search_top_iasl, star)
         x5 = GroundSet((0, 1, 2, 3, 4))
-        for call in (lambda: enumerate_topologies(x5),
-                     lambda: list(iter_top_iasl_assignments(star(3), x5)),
-                     lambda: search_top_iasl(star(3), x5)):
-            with pytest.raises(EnumerationInfeasible,
-                               match=r"topology enumeration capped at \|X\| = 4, got 5"):
-                call()
+        assert len(enumerate_topologies(x5)) == TOPOLOGY_COUNTS[5]
+        assert list(iter_top_iasl_assignments(star(3), x5))
+        assert search_top_iasl(star(3), x5).found
+        with pytest.raises(EnumerationInfeasible,
+                           match="ground set has 6 elements, cap is 5"):
+            GroundSet((0, 1, 2, 3, 4, 5))
 
     def test_every_family_satisfies_axioms(self):
         x = GroundSet((0, 1, 2))
@@ -214,10 +240,24 @@ class TestTopologyFile:
 class TestVerifyTopIasl:
     def test_discrete_family_other_center(self):
         # vertex labels {1}, {0}, {0,1}: the family plus ∅ is the whole power
-        # set, a topology, even though an edge sumset escapes X
+        # set, a topology, but the edge sum {1} + {0,1} escapes X
         g = parse_graph("c l1\nc l2\n")
         f = parse_labeling("X {0,1}\nc {1}\nl1 {0}\nl2 {0,1}\n")
-        assert verify_top_iasl(g, f).verdict
+        report = verify_top_iasl(g, f)
+        assert [(v.kind, v.where, v.detail) for v in report.violations] == [
+            ("not-a-subset", "c l2", "edge label {1,2} is not a subset of X = {0,1}")]
+        assert not report.verdict
+
+    def test_triangle_verifier_and_search_agree(self):
+        # {0}, {1}, {0,1} make a topology on {0,1}, but the edge
+        # {1} + {0,1} = {1,2} leaves X, and the search keeps every edge in X
+        from iasl_lab import complete, search_top_iasl
+        g = complete(3)
+        f = Labeling(GroundSet((0, 1)), dict(zip(g.vertices, sets((0,), (1,), (0, 1)))))
+        report = verify_top_iasl(g, f)
+        assert [(v.kind, v.where) for v in report.violations] == [("not-a-subset", "v2 v3")]
+        assert not report.verdict
+        assert not search_top_iasl(g, GroundSet((0, 1))).found
 
     def test_missing_ground_set_in_image(self):
         g = parse_graph("a b\n")
