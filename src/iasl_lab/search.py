@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, combinations
+from operator import le, or_
 from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
-                      SumsetClassification, _sum_bits, classify)
+                      SumsetClassification, _sum_bits, bits_of, classify)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
@@ -125,9 +126,9 @@ class SearchOutcome:
         }
 
 
-def _search_order(g: Graph) -> tuple[list[str], list[list[int]]]:
-    """Vertices by descending degree (name tie-break), and for each position
-    the positions of its earlier neighbours."""
+def _search_order(g: Graph) -> tuple[list[str], list[list[int]], list[int]]:
+    """Vertices by descending degree (name tie-break), for each position the
+    positions of its earlier neighbours, and the degrees in that order."""
     degs = g.degrees()
     order = sorted(g.vertices, key=lambda v: (-degs[v], v))
     pos = {v: i for i, v in enumerate(order)}
@@ -138,7 +139,7 @@ def _search_order(g: Graph) -> tuple[list[str], list[list[int]]]:
             earlier[j].append(i)
         else:
             earlier[i].append(j)
-    return order, earlier
+    return order, earlier, [degs[v] for v in order]
 
 
 @lru_cache(maxsize=None)
@@ -149,19 +150,60 @@ def _partner_bitsets(x: GroundSet) -> tuple[int, ...]:
                  for row in _sum_bits(x))
 
 
-def _assignments(earlier: list[list[int]], family: int,
+# bounded, since minimal_ground_set walks hundreds of ground sets; one
+# ground set's whole topology table (6,942 families at |X| = 5) still fits
+@lru_cache(maxsize=1 << 13)
+def _capacities(x: GroundSet, family: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The capacities of the positions of ``family``, largest first, and for
+    each degree d below the family's size the bitset of positions of
+    capacity ≥ d.
+
+    The capacity of position p is the number of other positions of the
+    family that are partners of p. The neighbours of a vertex labeled p have
+    distinct labels, none of them p, all in the family and all partners of
+    p, so the vertex's degree is at most p's capacity.
+    """
+    partners = _partner_bitsets(x)
+    caps = []
+    exact = [0] * family.bit_count()  # bit p at index cap(p)
+    for p in bits_of(family):
+        c = (partners[p] & family & ~(1 << p)).bit_count()
+        caps.append(c)
+        exact[c] |= 1 << p
+    caps.sort(reverse=True)
+    return tuple(caps), tuple(accumulate(reversed(exact), or_))[::-1]
+
+
+def _domains(degrees: list[int], x: GroundSet,
+             family: int) -> Optional[list[int]]:
+    """Each vertex's candidate bitset: the positions of ``family`` whose
+    capacity (``_capacities``) is at least the vertex's degree.
+
+    None when no injective labeling fits: the i-th largest degree needs i
+    distinct positions of at least that capacity, so it may not exceed the
+    i-th largest capacity. ``degrees`` come largest first, as in
+    ``_search_order``.
+    """
+    caps, at_least = _capacities(x, family)
+    if len(degrees) > len(caps) or not all(map(le, degrees, caps)):
+        return None
+    return [at_least[d] for d in degrees]
+
+
+def _assignments(earlier: list[list[int]], domains: list[int],
                  partners: tuple[int, ...], counter: Optional[list],
                  cover: Optional[tuple] = None) -> Iterator[list[int]]:
     """The backtracking core of every search.
 
-    Gives vertex i (in ``_search_order``) a position from the bitset
-    ``family`` that no earlier vertex holds and that is in the partner bitset
-    of every earlier neighbour's position, lowest bit first, and yields the
-    list of positions (one list, updated in place) at each complete
-    assignment. A node is one such choice; nodes are added to ``counter[0]``
-    before every yield. With ``cover = (sums, missing, left)`` a choice also
-    dies when more bits of ``missing`` are left uncovered by the edge labels
-    ``sums[p][q]`` than the ``left[i]`` edges still undecided after vertex i.
+    Gives vertex i (in ``_search_order``) a position from its bitset
+    ``domains[i]`` that no earlier vertex holds and that is in the partner
+    bitset of every earlier neighbour's position, lowest bit first, and
+    yields the list of positions (one list, updated in place) at each
+    complete assignment. A node is one such choice; nodes are added to
+    ``counter[0]`` before every yield. With ``cover = (sums, missing, left)``
+    a choice also dies when more bits of ``missing`` are left uncovered by the
+    edge labels ``sums[p][q]`` than the ``left[i]`` edges still undecided
+    after vertex i.
     """
     if counter is None:
         counter = [0]
@@ -175,7 +217,7 @@ def _assignments(earlier: list[list[int]], family: int,
         sums, missing, left = cover
         uncovered = [missing] * (n + 1)
     cand = [0] * n
-    cand[0] = family
+    cand[0] = domains[0]
     used = 0
     i = 0
     nodes = 0
@@ -206,7 +248,7 @@ def _assignments(earlier: list[list[int]], family: int,
             continue
         used |= low
         i += 1
-        allowed = family & ~used
+        allowed = domains[i] & ~used
         for j in earlier[i]:
             allowed &= partners[picks[j]]
         cand[i] = allowed
@@ -221,18 +263,22 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     X. A branch dies as soon as an incident edge label leaves
     P(X) - {∅, {0}}, or when fewer undecided edges remain than required
     labels still missing from the image. Injectivity rules out {0} + {0},
-    so the partner bitsets alone decide which edge labels are acceptable.
+    so the partner bitsets alone decide which edge labels are acceptable,
+    and a vertex only takes subsets whose capacity (``_domains``) covers its
+    degree.
     """
-    n_subsets = 1 << x.size
-    if g.m != n_subsets - 2 or g.n > n_subsets - 1:
+    if g.m != (1 << x.size) - 2:
         return
-    order, earlier = _search_order(g)
+    order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
-    left = [g.m - decided for decided in accumulate(map(len, earlier))]
     everything = (1 << len(masks)) - 1
+    domains = _domains(degrees, x, everything)
+    if domains is None:
+        return
+    left = [g.m - decided for decided in accumulate(map(len, earlier))]
     # every non-empty subset but {0}, which is first in canonical order
     cover = (_sum_bits(x), everything ^ 1, left)
-    for picks in _assignments(earlier, everything, _partner_bitsets(x),
+    for picks in _assignments(earlier, domains, _partner_bitsets(x),
                               counter, cover):
         yield {order[v]: masks[p] for v, p in enumerate(picks)}
 
@@ -263,15 +309,20 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     For each topology T on X with |T| - 1 = |V|, backtracks over bijections
     from vertices to T - {∅} keeping every edge sumset inside P(X). The
     topologies come from the family table of their cardinality; a vertex's
-    candidates are the unused opens of T that are partners of every
-    earlier neighbour's label.
+    candidates are the unused opens of T whose capacity in T covers its
+    degree and that are partners of every earlier neighbour's label. A
+    topology whose capacities cannot hold the degrees (``_domains``) is
+    skipped without a node.
     """
-    order, earlier = _search_order(g)
+    order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
     for family in _families_by_open_count(x.size).get(len(order), ()):
+        domains = _domains(degrees, x, family)
+        if domains is None:
+            continue
         t = None
-        for picks in _assignments(earlier, family, partners, counter):
+        for picks in _assignments(earlier, domains, partners, counter):
             if t is None:
                 t = _topology(x, family)
             yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
@@ -282,6 +333,9 @@ def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
     when every vertex has degree ≥ 2, since X + A ⊆ X forces A = {0}, so
     the vertex labeled X has at most one neighbour."""
     def assignments(g, x, counter):
+        # the capacity rule in the core implies this (X has capacity ≤ 1 in
+        # every topology), but only after the topology table of |X| is built,
+        # which minimal_ground_set would then pay for graphs that never match
         if all(d >= 2 for d in g.degrees().values()):
             return ()
         return (masks for _t, masks in iter_top_iasl_assignments(g, x, counter))

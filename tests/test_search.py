@@ -1,6 +1,6 @@
 """Backtracking searches, structural screens, and the smallest-ground-set scan."""
 
-from itertools import permutations
+from itertools import accumulate, combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -13,10 +13,43 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, complete, cycle,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
+from iasl_lab.intsets import _sum_bits, sumset_mask
+from iasl_lab.search import _assignments, _partner_bitsets, _search_order
+from iasl_lab.topology import _families_by_open_count, _topology
 
 X0 = GroundSet((0,))
 X01 = GroundSet((0, 1))
 X012 = GroundSet((0, 1, 2))
+DEEP_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "iasgl-deep"
+
+
+def unpruned_iasgl_assignments(g, x, counter=None):
+    """``iter_iasgl_assignments`` without the capacity rule: the shared core
+    offers every vertex every non-empty subset of X."""
+    if g.m != (1 << x.size) - 2:
+        return
+    order, earlier, _degrees = _search_order(g)
+    masks = x.subset_masks()
+    everything = (1 << len(masks)) - 1
+    left = [g.m - decided for decided in accumulate(map(len, earlier))]
+    cover = (_sum_bits(x), everything ^ 1, left)
+    for picks in _assignments(earlier, [everything] * g.n, _partner_bitsets(x),
+                              counter, cover):
+        yield {order[v]: masks[p] for v, p in enumerate(picks)}
+
+
+def unpruned_top_iasl_assignments(g, x, counter=None):
+    """``iter_top_iasl_assignments`` without the capacity rule: the shared
+    core offers every vertex every open of each topology."""
+    order, earlier, _degrees = _search_order(g)
+    masks = x.subset_masks()
+    for family in _families_by_open_count(x.size).get(g.n, ()):
+        t = None
+        for picks in _assignments(earlier, [family] * g.n, _partner_bitsets(x),
+                                  counter):
+            if t is None:
+                t = _topology(x, family)
+            yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
 
 
 def brute_force_iasgl_exists(g, x):
@@ -131,11 +164,12 @@ class TestSearchTopIasl:
         assert labels == {"{0}", "{0,1}"}
 
     def test_min_degree_two_is_ruled_out_before_the_core(self):
-        # the search reads no node, while the unpruned core still walks the
-        # cycle's solutions for the oracle's T-toppend to check
+        # the search reads no node; the unpruned core walks the cycle's
+        # branches and, like the capacity-pruned core, finds none
         assert search_top_iasl(cycle(4), X012).nodes_explored == 0
         counter = [0]
-        list(iter_top_iasl_assignments(cycle(4), X012, counter))
+        assert list(unpruned_top_iasl_assignments(cycle(4), X012, counter)) == []
+        assert list(iter_top_iasl_assignments(cycle(4), X012)) == []
         assert counter[0] > 0
 
     def test_degree_rule_matches_the_unpruned_core(self):
@@ -171,10 +205,10 @@ class TestSearchTopIasl:
 
 class TestTopIaslCore:
     # (nodes, solutions) of every top-IASL labeling of the connected graphs
-    # with at most six vertices, as counted by the per-topology sumset-table
-    # search this core replaced
-    TOTALS = {(0, 1, 2): (3457, 145), (0, 1, 3): (2987, 123),
-              (0, 2, 3, 5): (188313, 3403)}
+    # with at most six vertices; without the capacity rule the core walked
+    # 3457, 2987 and 188313 nodes for the same solutions
+    TOTALS = {(0, 1, 2): (446, 145), (0, 1, 3): (328, 123),
+              (0, 2, 3, 5): (9707, 3403)}
 
     @pytest.mark.parametrize("ground", sorted(TOTALS),
                              ids=lambda g: ",".join(map(str, g)))
@@ -216,10 +250,10 @@ class TestTopIaslCore:
 
 class TestIasglCore:
     # (nodes, solutions) of every set-graceful labeling of the connected
-    # graphs with at most seven vertices, as counted by the recursive
-    # sumset-table search this core replaced
-    TOTALS = {(0, 1, 2): (4852, 732), (0, 1, 3): (4230, 720),
-              (0, 1, 2, 3): (37483, 0)}
+    # graphs with at most seven vertices; without the capacity rule the core
+    # walked 4852, 4230 and 37483 nodes for the same solutions
+    TOTALS = {(0, 1, 2): (2089, 732), (0, 1, 3): (1957, 720),
+              (0, 1, 2, 3): (374, 0)}
 
     @pytest.mark.parametrize("ground", sorted(TOTALS),
                              ids=lambda g: ",".join(map(str, g)))
@@ -261,12 +295,58 @@ class TestIasglCore:
         assert (graphs, solutions) == (30, 720)
 
     def test_deep_graph_not_found_after_fixed_node_count(self):
-        path = (Path(__file__).resolve().parent.parent
-                / "perfbench" / "data" / "iasgl-deep" / "g02.edges")
-        g = parse_graph(path.read_text(encoding="utf-8"))
+        g = parse_graph((DEEP_DIR / "g02.edges").read_text(encoding="utf-8"))
         out = search_iasgl(g, GroundSet(range(5)))
         assert not out.found
-        assert out.nodes_explored == 28335
+        assert out.nodes_explored == 4005
+
+
+class TestCapacityRule:
+    """The capacity rule (``search._domains``) prunes only dead branches."""
+
+    GROUNDS = [GroundSet((0,) + c) for r in range(4)
+               for c in combinations((1, 2, 3), r)]
+
+    @staticmethod
+    def capacities(labels, x):
+        # per label, the other labels of the family whose sum with it stays in X
+        return {a: sum(1 for b in labels
+                       if b != a and not sumset_mask(a, b) & ~x.mask)
+                for a in labels}
+
+    def test_cores_yield_what_the_unpruned_core_yields(self):
+        # the same sequence, in the same order, on the empty graph and every
+        # connected class with at most six vertices, over every X that
+        # contains 0 inside {0,1,2,3}; every unpruned solution keeps each
+        # vertex's degree within its label's capacity
+        graphs = [Graph([], [])]
+        for n in range(1, 7):
+            graphs.extend(enumerate_connected_graphs(n, dedup=True))
+        for x in self.GROUNDS:
+            every = self.capacities(x.subset_masks(), x)
+            per_topology = {}
+            for g in graphs:
+                degrees = g.degrees()
+                graceful = list(unpruned_iasgl_assignments(g, x))
+                assert list(iter_iasgl_assignments(g, x)) == graceful
+                for masks in graceful:
+                    assert all(degrees[v] <= every[a] for v, a in masks.items())
+                topological = list(unpruned_top_iasl_assignments(g, x))
+                assert list(iter_top_iasl_assignments(g, x)) == topological
+                for t, masks in topological:
+                    if t not in per_topology:
+                        per_topology[t] = self.capacities(set(masks.values()), x)
+                    cap = per_topology[t]
+                    assert all(degrees[v] <= cap[a] for v, a in masks.items())
+
+    def test_deep_graphs_have_no_graceful_labeling_unpruned(self):
+        x = GroundSet(range(5))
+        for path in sorted(DEEP_DIR.glob("*.edges")):
+            g = parse_graph(path.read_text(encoding="utf-8"))
+            assert list(iter_iasgl_assignments(g, x)) == []
+            counter = [0]
+            assert list(unpruned_iasgl_assignments(g, x, counter)) == []
+            assert counter[0] > 0
 
 
 class TestSearchTopIasgl:
