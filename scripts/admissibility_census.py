@@ -10,11 +10,14 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 from collections import Counter
 
 from iasl_lab import (GroundSet, enumerate_connected_graphs, search_iasgl,
                       search_top_iasgl, search_top_iasl, structure)
+from iasl_lab.cli import integer
+from iasl_lab.graphs import ENUMERATION_VERTEX_CAP
 
 
 def census(max_vertices, ground_sets):
@@ -51,18 +54,26 @@ def census(max_vertices, ground_sets):
                       f"{sorted(st.degrees.values(), reverse=True)}")
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-vertices", type=int, default=6)
+    parser.add_argument("--max-vertices", type=integer, default=6)
     parser.add_argument("--ground-set", action="append", default=[],
                         help="repeatable; defaults to {0,1} and {0,1,2}")
-    args = parser.parse_args()
-    ground_sets = ([GroundSet.parse(s) for s in args.ground_set]
-                   or [GroundSet((0, 1)), GroundSet((0, 1, 2))])
+    args = parser.parse_args(argv)
+    try:
+        if not 1 <= args.max_vertices <= ENUMERATION_VERTEX_CAP:
+            raise ValueError(f"--max-vertices must be 1 to {ENUMERATION_VERTEX_CAP}, "
+                             f"got {args.max_vertices}")
+        ground_sets = ([GroundSet.parse(s) for s in args.ground_set]
+                       or [GroundSet((0, 1)), GroundSet((0, 1, 2))])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     census(args.max_vertices, ground_sets)
     print(f"\ntotal time: {time.perf_counter() - t0:.1f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

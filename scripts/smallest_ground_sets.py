@@ -10,16 +10,18 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
 from iasl_lab import (complete, complete_bipartite, cycle, minimal_ground_set,
                       path, star)
+from iasl_lab.cli import integer
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-element", type=int, default=6)
-    args = parser.parse_args()
+    parser.add_argument("--max-element", type=integer, default=6)
+    args = parser.parse_args(argv)
 
     cases = []
     cases.extend((f"K_(1,{k})", star(k)) for k in (1, 2, 3, 6, 14))
@@ -28,16 +30,23 @@ def main():
     cases.append(("K_4", complete(4)))
     cases.append(("K_(2,3)", complete_bipartite(2, 3)))
 
-    print(f"{'graph':<10} {'iasgl':<14} {'top-iasl':<14} {'top-iasgl':<14}")
     t0 = time.perf_counter()
-    for name, g in cases:
-        row = [name]
-        for mode in ("iasgl", "top_iasl", "top_iasgl"):
-            x = minimal_ground_set(g, mode, element_bound=args.max_element)
-            row.append(str(x) if x is not None else "-")
-        print(f"{row[0]:<10} {row[1]:<14} {row[2]:<14} {row[3]:<14}")
+    try:
+        # the whole table before any output: the first search rejects a
+        # bad --max-element before it does any work
+        rows = [[name] + [minimal_ground_set(g, mode, element_bound=args.max_element)
+                          for mode in ("iasgl", "top_iasl", "top_iasgl")]
+                for name, g in cases]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"{'graph':<10} {'iasgl':<14} {'top-iasl':<14} {'top-iasgl':<14}")
+    for name, *grounds in rows:
+        cells = [str(x) if x is not None else "-" for x in grounds]
+        print(f"{name:<10} {cells[0]:<14} {cells[1]:<14} {cells[2]:<14}")
     print(f"\ntotal time: {time.perf_counter() - t0:.1f}s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

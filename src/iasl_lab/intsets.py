@@ -131,9 +131,6 @@ class IntSet:
             raise ValueError("empty set has no maximal element")
         return self.mask.bit_length() - 1
 
-    def issubset(self, other: "IntSet") -> bool:
-        return not self.mask & ~other.mask
-
     def sort_key(self) -> tuple:
         return subset_sort_key(self.mask)
 
@@ -313,12 +310,6 @@ class SumsetClassification:
     rho_prime: int
     rho_double_prime: int
     x_is_sumset: bool
-
-    def class_of(self, s: IntSet) -> SubsetClass:
-        return self.per_subset[s]
-
-    def nontrivial_sumsets(self) -> list[IntSet]:
-        return [s for s, c in self.per_subset.items() if c.is_nontrivial_sumset]
 
     def nontrivial_summands(self) -> list[IntSet]:
         return [s for s, c in self.per_subset.items() if c.is_nontrivial_summand]

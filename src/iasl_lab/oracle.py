@@ -23,9 +23,6 @@ from .search import iter_iasgl_assignments, iter_top_iasl_assignments, screen
 from .topology import (closed_family, enumerate_topologies,
                        realize_topology, verify_top_iasl)
 
-ORACLE_VERTEX_CAP = ENUMERATION_VERTEX_CAP
-ORACLE_GROUND_CAP = 3
-
 
 @dataclass(frozen=True)
 class Scope:
@@ -93,14 +90,11 @@ class OracleScope:
     def __init__(self, max_vertices: int, ground_sets):
         if max_vertices < 1:
             raise ValueError(f"oracle needs at least 1 vertex, got {max_vertices}")
-        if max_vertices > ORACLE_VERTEX_CAP:
+        if max_vertices > ENUMERATION_VERTEX_CAP:
             raise EnumerationInfeasible(
-                f"oracle capped at {ORACLE_VERTEX_CAP} vertices, got {max_vertices}")
+                f"oracle capped at {ENUMERATION_VERTEX_CAP} vertices, got {max_vertices}")
         ground_sets = tuple(ground_sets)
         for i, x in enumerate(ground_sets):
-            if x.size > ORACLE_GROUND_CAP:
-                raise EnumerationInfeasible(
-                    f"oracle ground sets capped at {ORACLE_GROUND_CAP} elements, got {x}")
             if x in ground_sets[:i]:
                 raise ValueError(f"ground set {x} is given twice")
         self.max_vertices = max_vertices

@@ -306,14 +306,20 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
                               ) -> Iterator[tuple[Topology, dict]]:
     """Yield (topology, assignment) for every topological labeling of g.
 
-    For each topology T on X with |T| - 1 = |V|, backtracks over bijections
-    from vertices to T - {∅} keeping every edge sumset inside P(X). The
-    topologies come from the family table of their cardinality; a vertex's
-    candidates are the unused opens of T whose capacity in T covers its
-    degree and that are partners of every earlier neighbour's label. A
-    topology whose capacities cannot hold the degrees (``_domains``) is
-    skipped without a node.
+    Nothing when every vertex has degree ≥ 2: X + A ⊆ X forces A = {0}, so the
+    vertex labeled X has at most one neighbour. Otherwise, for each topology
+    T on X with |T| - 1 = |V|, backtracks over bijections from vertices to
+    T - {∅} keeping every edge sumset inside P(X). The topologies come from
+    the family table of their cardinality; a vertex's candidates are the
+    unused opens of T whose capacity in T covers its degree and that are
+    partners of every earlier neighbour's label. A topology whose capacities
+    cannot hold the degrees (``_domains``) is skipped without a node.
     """
+    # the capacity rule implies this (X has capacity ≤ 1 in every topology),
+    # but only once the topology table of |X| is built, which
+    # minimal_ground_set would then pay for graphs that never match
+    if all(d >= 2 for d in g.degrees().values()):
+        return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
@@ -328,18 +334,15 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
             yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
 
 
+def _top_iasl_masks(g: Graph, x: GroundSet, counter: list) -> Iterator[dict]:
+    """The assignments of ``iter_top_iasl_assignments``, without topologies."""
+    for _t, masks in iter_top_iasl_assignments(g, x, counter):
+        yield masks
+
+
 def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
-    """First topological labeling of g over X, or proof of absence; none
-    when every vertex has degree ≥ 2, since X + A ⊆ X forces A = {0}, so
-    the vertex labeled X has at most one neighbour."""
-    def assignments(g, x, counter):
-        # the capacity rule in the core implies this (X has capacity ≤ 1 in
-        # every topology), but only after the topology table of |X| is built,
-        # which minimal_ground_set would then pay for graphs that never match
-        if all(d >= 2 for d in g.degrees().values()):
-            return ()
-        return (masks for _t, masks in iter_top_iasl_assignments(g, x, counter))
-    return _first_found(g, x, assignments, None)
+    """First topological labeling of g over X, or proof of absence."""
+    return _first_found(g, x, _top_iasl_masks, None)
 
 
 def iter_top_iasgl_assignments(g: Graph, x: GroundSet,

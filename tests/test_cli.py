@@ -294,6 +294,12 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["ground_sets"] == ["{0,1}"]
 
+    def test_four_element_ground_set(self, capsys):
+        code, out, _ = run(capsys, "oracle", "all", "--max-vertices", "5",
+                           "--ground-set", "{0,1,2,3}", "--json")
+        assert code == 0
+        assert json.loads(out)["clean"] is True
+
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "oracle", "T-zzz", "--max-vertices", "3")
         assert code == 2

@@ -30,11 +30,14 @@ class TestRegistry:
             run_oracle("T-nope", 4, [X01])
 
     def test_caps(self):
+        # graph enumeration caps the vertices; the ground sets have only the
+        # GroundSet cap of five elements
         from iasl_lab import EnumerationInfeasible
         with pytest.raises(EnumerationInfeasible):
             run_oracle("P1", 8, [X01])
         with pytest.raises(EnumerationInfeasible):
-            run_oracle("P1", 4, [GroundSet((0, 1, 2, 3))])
+            run_oracle("P1", 4, [GroundSet(range(6))])
+        assert suite_clean(run_all(5, [GroundSet((0, 1, 2, 3))]))
 
 
 class TestRunAll:

@@ -172,12 +172,13 @@ class TestSearchTopIasl:
         assert list(iter_top_iasl_assignments(cycle(4), X012)) == []
         assert counter[0] > 0
 
-    def test_degree_rule_matches_the_unpruned_core(self):
+    def test_is_the_core_first_yield_min_degree_two_skips_the_table(self):
         # found and first labeling agree with the core's first yield on the
         # empty graph, every connected class on <= 7 vertices, and two
         # disconnected graphs (one of minimum degree 2), over every X that
-        # contains 0 inside {0,1,2,3}
-        from itertools import combinations
+        # contains 0 inside {0,1,2,3}; when every vertex has degree >= 2
+        # (the empty graph too) the core yields nothing, reads no node and
+        # never asks for the topology table
         triangles = [("a", "b"), ("b", "c"), ("a", "c"),
                      ("d", "e"), ("e", "f"), ("d", "f")]
         graphs = [Graph([], []), Graph(["a", "b", "c"], [("a", "b")]),
@@ -186,13 +187,27 @@ class TestSearchTopIasl:
             graphs.extend(enumerate_connected_graphs(n, dedup=True))
         grounds = [GroundSet((0,) + c) for r in range(4)
                    for c in combinations((1, 2, 3), r)]
+        ruled_out = 0
         for g in graphs:
+            min_degree_two = all(d >= 2 for d in g.degrees().values())
             for x in grounds:
+                calls = _families_by_open_count.cache_info()
                 out = search_top_iasl(g, x)
-                first = next((m for _t, m in iter_top_iasl_assignments(g, x)), None)
+                counter = [0]
+                first = next((m for _t, m in iter_top_iasl_assignments(g, x, counter)),
+                             None)
                 assert out.found == (first is not None)
                 if out.found:
                     assert {v: s.mask for v, s in out.labeling.assignment.items()} == first
+                if min_degree_two:
+                    ruled_out += 1
+                    assert first is None
+                    assert out.nodes_explored == counter[0] == 0
+                    after = _families_by_open_count.cache_info()
+                    assert after.hits + after.misses == calls.hits + calls.misses
+        # the empty graph, the two triangles and the 583 connected classes
+        # of minimum degree >= 2 (1, 3, 11, 61 and 507 for n = 3..7)
+        assert ruled_out == 8 * 585
 
     def test_edge_sums_stay_inside_ground_set(self):
         for g in (path(2), path(3), star(3)):
@@ -200,7 +215,7 @@ class TestSearchTopIasl:
             if out.found:
                 for u, w in g.edge_names():
                     s = out.labeling.assignment[u] + out.labeling.assignment[w]
-                    assert s.issubset(X012.base)
+                    assert not s.mask & ~X012.mask
 
 
 class TestTopIaslCore:
