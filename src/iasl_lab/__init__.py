@@ -21,7 +21,7 @@ from .labelings import (IncompleteLabelingError, Labeling, LabelingParseError,
                         set_indexing_numbers, verify_iasgl, verify_iasi,
                         verify_iasl, verify_uniform)
 from .oracle import (ORACLE_CHECKS, Finding, OracleScope, TheoremReport,
-                     Witness, run_all, run_oracle, suite_clean)
+                     Witness, run_all, run_checks, run_oracle, suite_clean)
 from .search import (SearchOutcome, StructuralScreen, iter_iasgl_assignments,
                      iter_top_iasgl_assignments, iter_top_iasl_assignments,
                      minimal_ground_set, screen, search_iasgl,

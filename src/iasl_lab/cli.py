@@ -17,7 +17,7 @@ from .graphs import parse_graph
 from .intsets import GroundSet, classify
 from .labelings import (parse_labeling, verify_iasgl, verify_iasi, verify_iasl,
                         verify_uniform)
-from .oracle import ORACLE_CHECKS, run_all, run_oracle, suite_clean
+from .oracle import ORACLE_CHECKS, run_all, run_checks, suite_clean
 from .search import SEARCHES, minimal_ground_set
 from .topology import (enumerate_topologies, parse_topology, realize_topology,
                        verify_top_iasgl, verify_top_iasl)
@@ -193,8 +193,7 @@ def _cmd_oracle(args) -> int:
     if args.ids == ["all"]:
         reports = run_all(args.max_vertices, ground_sets)
     else:
-        reports = [run_oracle(tid, args.max_vertices, ground_sets)
-                   for tid in args.ids]
+        reports = run_checks(args.ids, args.max_vertices, ground_sets)
     clean = suite_clean(reports)
     if args.json:
         _emit_json({"command": "oracle", "max_vertices": args.max_vertices,

@@ -258,19 +258,33 @@ def _edges_of_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
 def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
     """Iterated degree refinement; the resulting color order is invariant.
 
-    Refinement only splits classes, so it is stable once a round adds none.
+    The first colors are the degree ranks. Each later round orders the
+    vertices by their color, then by the sorted tuple of their neighbors'
+    colors. Within one color all degrees are equal, and of two such tuples
+    of equal length the smaller has more neighbors of the least color whose
+    counts differ. So a round can compare the counts instead, read as the
+    digits of one number with color 0 the most significant: the larger
+    number comes first. Refinement only splits classes, so it is stable once
+    a round adds none.
     """
-    colors = [0] * n
-    classes = 1
-    while True:
-        sigs = [(colors[v], tuple(sorted(map(colors.__getitem__, adj[v]))))
+    degrees = [len(a) for a in adj]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors = [rank[d] for d in degrees]
+    classes = len(rank)
+    shift = n.bit_length()  # a count of at most n - 1 fits in one digit
+    while classes < n:
+        top = shift * classes
+        weight = [1 << (top - shift * (c + 1)) for c in range(classes)]
+        sigs = [(colors[v] << top) - sum(map(weight.__getitem__,
+                                             map(colors.__getitem__, adj[v])))
                 for v in range(n)]
         distinct = sorted(set(sigs))
         if len(distinct) == classes:
-            return colors
+            break
         rank = {s: i for i, s in enumerate(distinct)}
         colors = [rank[s] for s in sigs]
         classes = len(distinct)
+    return colors
 
 
 def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
@@ -287,6 +301,11 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     the partial placements whose bits so far are minimal. Placements whose
     unplaced vertices have the same adjacency to the filled positions have
     the same completions, so they are merged.
+
+    Twins are vertices with the same neighbors apart from each other. Any
+    permutation of a twin class is an automorphism, and twins share a color,
+    so some minimal ordering places each twin after the previous one in its
+    color block; a vertex is offered only once that twin is placed.
     """
     edges = list(edges)
     if n <= 1:
@@ -304,6 +323,18 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     blocks: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         blocks.setdefault(c, []).append(v)
+    nbrs = _adjacency(n, edges)
+    # after[v] is the field of v's previous twin in its block, or 0; v may be
+    # placed when placed & gate[v] == after[v], that is, v is unplaced and
+    # that twin is placed
+    after = [0] * n
+    for block in blocks.values():
+        for k, v in enumerate(block):
+            for u in reversed(block[:k]):
+                if nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u):
+                    after[v] = field[u]
+                    break
+    gate = [f | a for f, a in zip(field, after)]
     level_blocks = [blocks[c] for c in sorted(colors)]
     states = {(0, 0)}  # (fields of the placed vertices, adjacency fields)
     mask = 0
@@ -315,7 +346,7 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
         keep = []
         for placed, adjacency in states:
             for v in level_blocks[p]:
-                if placed & field[v]:
+                if placed & gate[v] != after[v]:
                     continue
                 chunk = adjacency >> (v * n + p + 1) & width
                 if chunk < best:
@@ -337,16 +368,72 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
 
 # --- enumeration -------------------------------------------------------------
 
+def _automorphisms(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every automorphism of the graph with neighbor bitmasks ``adj``, as the
+    tuple of vertex images, in increasing order.
+
+    Backtracks over the vertices in order, mapping each to an unused vertex
+    of its refinement color whose adjacency to the images so far matches.
+    """
+    n = len(adj)
+    colors = _refine_colors(n, [list(bits_of(a)) for a in adj])
+    found = []
+    image = [0] * n
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            found.append(tuple(image))
+            return
+        # the images of v's neighbors among the vertices already mapped
+        want = 0
+        for u in bits_of(adj[v] & ((1 << v) - 1)):
+            want |= 1 << image[u]
+        for w in range(n):
+            if colors[w] == colors[v] and not used >> w & 1 and adj[w] & used == want:
+                image[v] = w
+                extend(v + 1, used | 1 << w)
+
+    extend(0, 0)
+    return found
+
+
+def _orbit_minima(adj: Sequence[int]) -> list[int]:
+    """The non-empty vertex subsets, as bitmasks, that are the least of their
+    orbit under the automorphisms of the graph with neighbor bitmasks ``adj``."""
+    n = len(adj)
+    images = [[1 << w for w in aut] for aut in _automorphisms(adj)]
+    if len(images) == 1:
+        return list(range(1, 1 << n))
+    seen = bytearray(1 << n)
+    minima = []
+    for s in range(1, 1 << n):
+        if seen[s]:
+            continue
+        minima.append(s)
+        members = list(bits_of(s))
+        for bit in images:
+            t = 0
+            for u in members:
+                t |= bit[u]
+            seen[t] = 1
+    return minima
+
+
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
     """Canonical edge masks of connected graphs on n vertices, up to iso,
     in increasing order.
 
-    Built by attaching a new vertex v with every non-empty neighborhood S to
-    each class on n-1 vertices, skipping the candidates where some other
+    Built by attaching a new vertex v with a non-empty neighborhood S to
+    each class H on n-1 vertices, skipping the candidates where some other
     vertex of degree below |S| is not a cut vertex. Every connected graph
     still arises: it has a least-degree non-cut vertex, and removing that
     vertex leaves a connected graph on n-1 vertices.
+
+    Only the least S of each orbit under Aut(H) is tried. For an
+    automorphism σ of H, H + v with N(v) = S and H + v with N(v) = σ(S) are
+    isomorphic under σ extended by v ↦ v. That isomorphism fixes v, so the
+    filter above gives both candidates the same answer.
     """
     if n == 1:
         return (0,)
@@ -356,7 +443,7 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
     for hmask in _connected_class_masks(new):
         h_edges = _edges_of_mask(new, hmask)
         h_adj = _adjacency(new, h_edges)
-        for s in range(1, 1 << new):
+        for s in _orbit_minima(h_adj):
             degree = s.bit_count()
             adj = [a | (s >> u & 1) << new for u, a in enumerate(h_adj)] + [s]
             if any(adj[u].bit_count() < degree

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .graphs import (ENUMERATION_VERTEX_CAP, Graph, enumerate_connected_graphs,
-                     structure)
+from .graphs import (ENUMERATION_VERTEX_CAP, Graph, _adjacency,
+                     enumerate_connected_graphs, structure)
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
@@ -264,6 +264,13 @@ def _judge_p3(ctx, g, x, st):
             f"over X = {x}")
 
 
+def _pendant_neighbors(g: Graph) -> list[int]:
+    """The number of pendant neighbors of each vertex, in vertex order."""
+    adj = _adjacency(g.n, g.edges)
+    pendants = sum(1 << v for v, a in enumerate(adj) if a.bit_count() == 1)
+    return [(a & pendants).bit_count() for a in adj]
+
+
 def _maxel_pendants(ctx, g, x, st, solutions):
     """Labels containing max(X) sit on pendants adjacent to the {0}-vertex."""
     top = x.max_element
@@ -292,6 +299,9 @@ def _judge_t_char(ctx, g, x, st):
     The counts in conditions (b)-(d) do not say whether {0} or the empty set
     participate, so every defensible reading is tallied as a finding.
     """
+    sols = ctx.iasgl_solutions(g, x)
+    if not sols:
+        return
     cls = classify(x)
     n_subsets = (1 << x.size) - 1  # non-empty subsets
     summands = len(cls.nontrivial_summands())
@@ -303,7 +313,8 @@ def _judge_t_char(ctx, g, x, st):
         1 for c in cls.per_subset.values()
         if not c.is_nontrivial_sumset and not c.is_nontrivial_summand)
     pend = len(st.pendant_vertices)
-    for sol in ctx.iasgl_solutions(g, x):
+    pendant_neighbors = dict(zip(g.vertices, _pendant_neighbors(g)))
+    for sol in sols:
         zv = _zero_vertex(sol)
         if zv is None:
             yield Witness(g, ctx.labeling(x, sol), "condition (a): no {0}-labeled vertex")
@@ -311,7 +322,7 @@ def _judge_t_char(ctx, g, x, st):
         yield True
         wit = Witness(g, ctx.labeling(x, sol), f"X = {x}")
         deg0 = st.degrees[zv]
-        pend_adj = sum(1 for p in st.pendant_vertices if zv in g.neighbors(p))
+        pend_adj = pendant_neighbors[zv]
         yield "b-nonempty", pend == n_subsets - summands, wit
         yield "b-with-empty", pend == n_subsets - summands + 1, wit
         yield "c-not-both", deg0 == not_sum_or_not_summand, wit
@@ -342,10 +353,7 @@ def _judge_t_disc(ctx, g, x, st):
     full = frozenset(x.subset_masks())
     admits = any(frozenset(sol.values()) == full
                  for sol in ctx.top_iasl_solutions(g, x))
-    need = 1 << (x.size - 1)
-    pend = set(st.pendant_vertices)
-    cond = any(sum(1 for w in g.neighbors(v) if w in pend) >= need
-               for v in g.vertices)
+    cond = max(_pendant_neighbors(g)) >= 1 << (x.size - 1)
     yield admits == cond or Witness(
         g, None,
         f"discrete labeling exists={admits}, pendant condition={cond} "
@@ -527,13 +535,22 @@ ORACLE_CHECKS: dict[str, _Check] = {
 }
 
 
+def run_checks(theorem_ids, max_vertices: int, ground_sets) -> list[TheoremReport]:
+    """Run the named checks over one shared scope, in the order given."""
+    theorem_ids = tuple(theorem_ids)
+    for i, tid in enumerate(theorem_ids):
+        if tid not in ORACLE_CHECKS:
+            raise ValueError(f"unknown theorem id {tid!r}; "
+                             f"known: {', '.join(ORACLE_CHECKS)}")
+        if tid in theorem_ids[:i]:
+            raise ValueError(f"theorem id {tid!r} is given twice")
+    ctx = OracleScope(max_vertices, ground_sets)
+    return [_run_check(tid, ctx) for tid in theorem_ids]
+
+
 def run_oracle(theorem_id: str, max_vertices: int, ground_sets) -> TheoremReport:
     """Run one registered check over the given scope."""
-    if theorem_id not in ORACLE_CHECKS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}; "
-                         f"known: {', '.join(ORACLE_CHECKS)}")
-    ctx = OracleScope(max_vertices, ground_sets)
-    return _run_check(theorem_id, ctx)
+    return run_checks((theorem_id,), max_vertices, ground_sets)[0]
 
 
 def _run_check(theorem_id: str, ctx: OracleScope) -> TheoremReport:

@@ -318,6 +318,44 @@ class TestOracle:
         assert code == 2
         assert "twice" in err
 
+    def test_repeated_id_exits_two(self, capsys):
+        code, out, err = run(capsys, "oracle", "P1", "T-real", "P1",
+                             "--max-vertices", "4")
+        assert code == 2
+        assert out == ""
+        assert "given twice" in err
+
+    def test_named_checks_match_their_reports_in_all(self, capsys):
+        ids = ["T-disc", "P1", "T-char", "T-real"]
+        code, out, _ = run(capsys, "oracle", *ids, "--max-vertices", "5", "--json")
+        assert code == 0
+        named = json.loads(out)["reports"]
+        _, out, _ = run(capsys, "oracle", "all", "--max-vertices", "5", "--json")
+        every = {r["id"]: r for r in json.loads(out)["reports"]}
+        assert named == [every[tid] for tid in ids]
+
+    def test_named_checks_share_one_scope(self, capsys, monkeypatch):
+        from iasl_lab import oracle
+        scopes = []
+
+        class Counted(oracle.OracleScope):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scopes.append(self)
+
+        monkeypatch.setattr(oracle, "OracleScope", Counted)
+        code, _, _ = run(capsys, "oracle", "P1", "P2", "T-tree", "--max-vertices", "4")
+        assert code == 0
+        assert len(scopes) == 1
+
+    def test_benchmark_json_bytes_are_pinned(self, capsys):
+        # the benchmark's digest: the default scope at seven vertices
+        import hashlib
+        code, out, _ = run(capsys, "oracle", "all", "--max-vertices", "7", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f0dfe93ff768a2ae00ca2f63574b20af0e3f05c453602207ce83b65d4ba711ef")
+
     def test_default_json_bytes_are_pinned(self, capsys):
         # the reports of the default scope at six vertices, byte for byte
         import hashlib

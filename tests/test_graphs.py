@@ -22,8 +22,10 @@ TREE_CLASSES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
 AT_MOST_N_EDGES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8, 6: 19, 7: 44}
 # SHA-256 of repr([(g.n, g.edges)]) over every class with n <= 7, in order
 CLASSES_SHA256 = "fc895c815f6d5437e2daa4399494cb777cfb2d11424a1be640d5eea9623aa928"
-# connected graphs on 8 vertices up to isomorphism (OEIS A001349)
+# connected graphs on 8 vertices up to isomorphism (OEIS A001349), and the
+# SHA-256 of repr(_connected_class_masks(8))
 CONNECTED_CLASSES_8 = 11117
+CLASSES_8_SHA256 = "ef5e25a3ec93f8d357c3b9cd6d02829b2eaab3713a4db942c0de21772fddfe92"
 
 
 def reference_canonical_mask(n, edges):
@@ -60,6 +62,22 @@ def reference_canonical_mask(n, edges):
         if best is None or m < best:
             best = m
     return best
+
+
+def sorted_tuple_refinement(n, adj):
+    """Degree refinement in its plain form: starting from one color, every
+    round orders the vertices by (color, sorted tuple of neighbor colors)."""
+    colors = [0] * n
+    classes = 1
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v])))
+                for v in range(n)]
+        distinct = sorted(set(sigs))
+        if len(distinct) == classes:
+            return colors
+        rank = {s: i for i, s in enumerate(distinct)}
+        colors = [rank[s] for s in sigs]
+        classes = len(distinct)
 
 
 def labeled_edge_lists(n):
@@ -189,6 +207,57 @@ class TestCanonicalForm:
             rng.shuffle(edges)
             assert canonical_mask(n, edges) == reference_canonical_mask(n, edges)
 
+    @pytest.mark.parametrize("g", [star(30), complete_bipartite(6, 8), complete(12)],
+                             ids=["star30", "k6_8", "k12"])
+    def test_twin_classes_stay_cheap_under_relabeling(self, g):
+        # one twin class of 30, two of 6 and 8, one of 12: without twin
+        # pruning each costs up to 2^k states
+        rng = random.Random(g.n)
+        expected = canonical_mask(g.n, g.edges)
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_mask(g.n, [(perm[i], perm[j]) for i, j in g.edges]) == expected
+
+    @pytest.mark.parametrize("g", [star(7), complete_bipartite(3, 4), complete(7),
+                                   # a true twin pair and a false twin pair
+                                   parse_graph("a b\na c\nb c\nc d\nc e\nd f\ne f\n")],
+                             ids=["star7", "k3_4", "k7", "mixed"])
+    def test_twin_pruning_matches_reference(self, g):
+        assert canonical_mask(g.n, g.edges) == reference_canonical_mask(g.n, g.edges)
+
+    def test_refinement_matches_sorted_tuple_refinement(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            density = rng.random()
+            adj = [[] for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        adj[i].append(j)
+                        adj[j].append(i)
+            assert graphs._refine_colors(n, adj) == sorted_tuple_refinement(n, adj)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_automorphisms_match_brute_force(self, n):
+        for mask in graphs._connected_class_masks(n):
+            adj = graphs._adjacency(n, graphs._edges_of_mask(n, mask))
+            brute = [perm for perm in permutations(range(n))
+                     if all(sum(1 << perm[u] for u in range(n) if adj[v] >> u & 1)
+                            == adj[perm[v]] for v in range(n))]
+            assert graphs._automorphisms(adj) == brute
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_orbit_minima_are_one_per_orbit(self, n):
+        for mask in graphs._connected_class_masks(n):
+            adj = graphs._adjacency(n, graphs._edges_of_mask(n, mask))
+            auts = graphs._automorphisms(adj)
+            least = {min(sum(1 << aut[u] for u in range(n) if s >> u & 1)
+                         for aut in auts)
+                     for s in range(1, 1 << n)}
+            assert graphs._orbit_minima(adj) == sorted(least)
+
     @pytest.mark.parametrize("n", [4, 5])
     def test_classes_distinct_by_brute_force(self, n):
         # independent certificate that dedup never merges non-isomorphic
@@ -236,7 +305,9 @@ class TestEnumeration:
     def test_class_count_on_eight_vertices(self):
         # past the enumeration cap, through the internal builder
         assert graphs.ENUMERATION_VERTEX_CAP == 7
-        assert len(graphs._connected_class_masks(8)) == CONNECTED_CLASSES_8
+        classes = graphs._connected_class_masks(8)
+        assert len(classes) == CONNECTED_CLASSES_8
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_8_SHA256
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_labeled_mode_matches_graph_connectivity_filter(self, n):
