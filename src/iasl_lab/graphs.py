@@ -90,6 +90,11 @@ class Graph:
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(self.vertices[j] for j in bits_of(self._adj[self._index[v]]))
 
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbors as a bitmask of vertex indices, in vertex
+        order."""
+        return self._adj
+
     def degree(self, v: str) -> int:
         return self._adj[self._index[v]].bit_count()
 
@@ -260,23 +265,15 @@ def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
 
     The first colors are the degree ranks. Each later round orders the
     vertices by their color, then by the sorted tuple of their neighbors'
-    colors. Within one color all degrees are equal, and of two such tuples
-    of equal length the smaller has more neighbors of the least color whose
-    counts differ. So a round can compare the counts instead, read as the
-    digits of one number with color 0 the most significant: the larger
-    number comes first. Refinement only splits classes, so it is stable once
-    a round adds none.
+    colors. Refinement only splits classes, so it is stable once a round
+    adds none.
     """
     degrees = [len(a) for a in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
     classes = len(rank)
-    shift = n.bit_length()  # a count of at most n - 1 fits in one digit
     while classes < n:
-        top = shift * classes
-        weight = [1 << (top - shift * (c + 1)) for c in range(classes)]
-        sigs = [(colors[v] << top) - sum(map(weight.__getitem__,
-                                             map(colors.__getitem__, adj[v])))
+        sigs = [(colors[v], tuple(sorted(map(colors.__getitem__, adj[v]))))
                 for v in range(n)]
         distinct = sorted(set(sigs))
         if len(distinct) == classes:
@@ -311,11 +308,14 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     if n <= 1:
         return 0
     adj: list[list[int]] = [[] for _ in range(n)]
+    nbrs = [0] * n
     # vertex u's adjacency to the filled positions is the n-bit field at u*n
     spread = [0] * n
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
         spread[i] |= 1 << (j * n)
         spread[j] |= 1 << (i * n)
     colors = _refine_colors(n, adj)
@@ -323,7 +323,6 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     blocks: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         blocks.setdefault(c, []).append(v)
-    nbrs = _adjacency(n, edges)
     # after[v] is the field of v's previous twin in its block, or 0; v may be
     # placed when placed & gate[v] == after[v], that is, v is unplaced and
     # that twin is placed

@@ -189,7 +189,7 @@ class GroundSet:
     the exhaustive sweeps everything downstream relies on.
     """
 
-    __slots__ = ("base", "_subsets", "_hash")
+    __slots__ = ("base", "_subsets")
 
     def __init__(self, elements):
         base = elements if isinstance(elements, IntSet) else IntSet(elements)
@@ -203,7 +203,6 @@ class GroundSet:
                 f"cap is {DEFAULT_GROUND_CAP}")
         self.base = base
         self._subsets: Optional[tuple[int, ...]] = None
-        self._hash = hash(("GroundSet", base.mask))
 
     @classmethod
     def parse(cls, text: str) -> "GroundSet":
@@ -242,12 +241,7 @@ class GroundSet:
         return isinstance(other, GroundSet) and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so the cached hash must not
-        # travel in a pickle; unpickling builds the ground set afresh
-        return GroundSet, (self.base,)
+        return self.base.mask
 
     def __str__(self) -> str:
         return str(self.base)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from .graphs import (ENUMERATION_VERTEX_CAP, Graph, _adjacency,
-                     enumerate_connected_graphs, structure)
+from .graphs import (ENUMERATION_VERTEX_CAP, Graph, enumerate_connected_graphs,
+                     structure)
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
@@ -266,7 +266,7 @@ def _judge_p3(ctx, g, x, st):
 
 def _pendant_neighbors(g: Graph) -> list[int]:
     """The number of pendant neighbors of each vertex, in vertex order."""
-    adj = _adjacency(g.n, g.edges)
+    adj = g.neighbor_masks()
     pendants = sum(1 << v for v, a in enumerate(adj) if a.bit_count() == 1)
     return [(a & pendants).bit_count() for a in adj]
 
@@ -545,6 +545,7 @@ def run_checks(theorem_ids, max_vertices: int, ground_sets) -> list[TheoremRepor
         if tid in theorem_ids[:i]:
             raise ValueError(f"theorem id {tid!r} is given twice")
     ctx = OracleScope(max_vertices, ground_sets)
+    ctx.graphs()  # shared set-up, so that no check's time includes it
     return [_run_check(tid, ctx) for tid in theorem_ids]
 
 
@@ -571,11 +572,7 @@ def _run_check(theorem_id: str, ctx: OracleScope) -> TheoremReport:
 def run_all(max_vertices: int, ground_sets) -> list[TheoremReport]:
     """Run every registered check over a shared scope, in registration order."""
     ground_sets = tuple(ground_sets)
-    if not ground_sets:
-        return []
-    ctx = OracleScope(max_vertices, ground_sets)
-    ctx.graphs()  # shared set-up, so that no check's time includes it
-    return [_run_check(tid, ctx) for tid in ORACLE_CHECKS]
+    return run_checks(ORACLE_CHECKS, max_vertices, ground_sets) if ground_sets else []
 
 
 def suite_clean(reports) -> bool:

@@ -64,9 +64,10 @@ def reference_canonical_mask(n, edges):
     return best
 
 
-def sorted_tuple_refinement(n, adj):
-    """Degree refinement in its plain form: starting from one color, every
-    round orders the vertices by (color, sorted tuple of neighbor colors)."""
+def one_color_refinement(n, adj):
+    """Degree refinement started from one color: every round orders the
+    vertices by (color, sorted tuple of neighbor colors), so the first round
+    yields the degree ranks."""
     colors = [0] * n
     classes = 1
     while True:
@@ -226,7 +227,7 @@ class TestCanonicalForm:
     def test_twin_pruning_matches_reference(self, g):
         assert canonical_mask(g.n, g.edges) == reference_canonical_mask(g.n, g.edges)
 
-    def test_refinement_matches_sorted_tuple_refinement(self):
+    def test_degree_rank_start_matches_one_color_start(self):
         rng = random.Random(2024)
         for _ in range(2000):
             n = rng.randint(1, 8)
@@ -237,7 +238,7 @@ class TestCanonicalForm:
                     if rng.random() < density:
                         adj[i].append(j)
                         adj[j].append(i)
-            assert graphs._refine_colors(n, adj) == sorted_tuple_refinement(n, adj)
+            assert graphs._refine_colors(n, adj) == one_color_refinement(n, adj)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_automorphisms_match_brute_force(self, n):

@@ -160,25 +160,6 @@ class TestGroundSet:
     def test_parse(self):
         assert GroundSet.parse("{0,1}").elements == (0, 1)
 
-    def test_pickle_leaves_the_hash_to_the_loading_process(self):
-        # string hashes differ between processes, so the cached hash of
-        # ("GroundSet", mask) must be computed again after unpickling
-        import os
-        import pickle
-        import subprocess
-        import sys
-        import iasl_lab
-        src = os.path.dirname(os.path.dirname(iasl_lab.__file__))
-        x = GroundSet((0, 2, 3))
-        data = pickle.dumps(x)
-        assert pickle.loads(data) == x and hash(pickle.loads(data)) == hash(x)
-        code = ("import pickle, sys; x = pickle.loads(sys.stdin.buffer.read()); "
-                "assert hash(x) == hash(('GroundSet', x.mask)), 'stale hash'")
-        for seed in ("1", "2"):
-            subprocess.run([sys.executable, "-c", code], input=data, check=True,
-                           env={**os.environ, "PYTHONHASHSEED": seed,
-                                "PYTHONPATH": src})
-
 
 class TestSubsetEnumeration:
     def test_two_element_ground(self):
