@@ -99,10 +99,8 @@ def _cmd_classify(args) -> int:
                 "witness": None if c.witness is None
                 else [str(c.witness[0]), str(c.witness[1])],
             })
-        _emit_json({"command": "classify", "ground": str(x),
-                    "rho": cls.rho, "rho_prime": cls.rho_prime,
-                    "rho_double_prime": cls.rho_double_prime,
-                    "x_is_sumset": cls.x_is_sumset, "subsets": subsets})
+        _emit_json({"command": "classify", "ground": str(x), **cls.to_json(),
+                    "subsets": subsets})
     else:
         print(f"ground set: {x}")
         print(f"rho = {cls.rho}   rho' = {cls.rho_prime}   "

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .intsets import EnumerationInfeasible, ParseError, bits_of, text_lines
+from .intsets import (EnumerationInfeasible, ParseError, bits_of,
+                      check_text_names, text_lines)
 
 ENUMERATION_VERTEX_CAP = 7
 
@@ -119,6 +120,7 @@ class Graph:
         Every vertex is declared on its own line first so insertion order
         survives the round trip.
         """
+        check_text_names(self.vertices)
         lines = list(self.vertices)
         lines.extend(f"{u} {w}" for u, w in self.edge_names())
         return "\n".join(lines) + "\n"

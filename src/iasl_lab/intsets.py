@@ -47,6 +47,14 @@ def text_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def check_text_names(names: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming the first vertex name the text formats
+    cannot carry: an empty one, or one with whitespace or ``#`` in it."""
+    for name in names:
+        if not name or "#" in name or any(c.isspace() for c in name):
+            raise ValueError(f"vertex name {name!r} cannot be written as text")
+
+
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the positions of the set bits of ``mask`` in increasing order."""
     while mask:
@@ -189,19 +197,19 @@ class GroundSet:
     the exhaustive sweeps everything downstream relies on.
     """
 
-    __slots__ = ("base", "_subsets")
+    __slots__ = ("mask", "_subsets")
 
     def __init__(self, elements):
-        base = elements if isinstance(elements, IntSet) else IntSet(elements)
-        if not base.mask:
+        mask = elements.mask if isinstance(elements, IntSet) else _mask_of(elements)
+        if not mask:
             raise ValueError("ground set must be non-empty")
-        if not base.mask & 1:
+        if not mask & 1:
             raise ValueError("ground set must contain 0")
-        if base.mask.bit_count() > DEFAULT_GROUND_CAP:
+        if mask.bit_count() > DEFAULT_GROUND_CAP:
             raise EnumerationInfeasible(
-                f"ground set has {base.mask.bit_count()} elements, "
+                f"ground set has {mask.bit_count()} elements, "
                 f"cap is {DEFAULT_GROUND_CAP}")
-        self.base = base
+        self.mask: int = mask
         self._subsets: Optional[tuple[int, ...]] = None
 
     @classmethod
@@ -209,25 +217,21 @@ class GroundSet:
         return cls(IntSet.parse(text))
 
     @property
-    def mask(self) -> int:
-        return self.base.mask
-
-    @property
     def size(self) -> int:
-        return self.base.mask.bit_count()
+        return self.mask.bit_count()
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return self.base.elements
+        return tuple(bits_of(self.mask))
 
     @property
     def max_element(self) -> int:
-        return self.base.max()
+        return self.mask.bit_length() - 1
 
     def subset_masks(self) -> tuple[int, ...]:
         """All non-empty subset masks of X in canonical order."""
         if self._subsets is None:
-            full = self.base.mask
+            full = self.mask
             subs = []
             sub = full
             while sub:
@@ -241,13 +245,13 @@ class GroundSet:
         return isinstance(other, GroundSet) and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return self.base.mask
+        return self.mask
 
     def __str__(self) -> str:
-        return str(self.base)
+        return str(IntSet.from_mask(self.mask))
 
     def __repr__(self) -> str:
-        return f"GroundSet({self.base})"
+        return f"GroundSet({self})"
 
 
 def all_nonempty_subsets(x: GroundSet) -> list[IntSet]:
@@ -310,6 +314,12 @@ class SumsetClassification:
     rho_prime: int
     rho_double_prime: int
     x_is_sumset: bool
+
+    def to_json(self) -> dict:
+        """The four counts, in declaration order."""
+        return {"rho": self.rho, "rho_prime": self.rho_prime,
+                "rho_double_prime": self.rho_double_prime,
+                "x_is_sumset": self.x_is_sumset}
 
     def nontrivial_summands(self) -> list[IntSet]:
         return [s for s, c in self.per_subset.items() if c.is_nontrivial_summand]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph
-from .intsets import (GroundSet, IntSet, ParseError, ZERO_MASK, sumset_mask,
-                      text_lines)
+from .intsets import (GroundSet, IntSet, ParseError, ZERO_MASK,
+                      check_text_names, sumset_mask, text_lines)
 
 
 class LabelingParseError(ParseError):
@@ -41,6 +41,7 @@ class Labeling:
         return self.assignment[v]
 
     def emit(self) -> str:
+        check_text_names(self.assignment)
         lines = [f"X {self.ground}"]
         lines.extend(f"{v} {s}" for v, s in self.assignment.items())
         return "\n".join(lines) + "\n"

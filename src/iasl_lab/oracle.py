@@ -101,27 +101,23 @@ class OracleScope:
         self.ground_sets = ground_sets
         self.scope = Scope(max_vertices, self.ground_sets)
         self._graphs: Optional[list] = None
-        self._structures: list = []
         self._iasgl: dict = {}
         self._top_iasl: dict = {}
         self._top_iasgl: dict = {}
 
     def graphs(self) -> list:
+        """(graph, structure) for every connected graph in scope, built once."""
         if self._graphs is None:
-            self._graphs = [g for n in range(1, self.max_vertices + 1)
+            self._graphs = [(g, structure(g)) for n in range(1, self.max_vertices + 1)
                             for g in enumerate_connected_graphs(n, dedup=True)]
-            self._structures = [structure(g) for g in self._graphs]
         return self._graphs
 
     def pairs(self):
-        return ((g, x) for g, x, _st in self.structured_pairs())
+        return ((g, x) for g, _st in self.graphs() for x in self.ground_sets)
 
     def structured_pairs(self):
-        """(graph, X, structure of the graph) for every pair in scope; each
-        graph's structure is computed once per scope."""
-        for g, st in zip(self.graphs(), self._structures):
-            for x in self.ground_sets:
-                yield g, x, st
+        """(graph, X, structure of the graph) for every pair in scope."""
+        return ((g, x, st) for g, st in self.graphs() for x in self.ground_sets)
 
     def iasgl_solutions(self, g: Graph, x: GroundSet) -> tuple:
         key = (g, x)
@@ -158,6 +154,15 @@ def _zero_vertex(sol: dict) -> Optional[str]:
     return None
 
 
+def _solution_witness(ctx, g, x, sol, detail="") -> Witness:
+    return Witness(g, ctx.labeling(x, sol), detail or f"X = {x}")
+
+
+def _graceful_star(g: Graph, x: GroundSet, st) -> bool:
+    """Whether g is the star with 2^|X| - 2 leaves."""
+    return st.is_star and g.m == (1 << x.size) - 2
+
+
 # --- the runner ----------------------------------------------------------------
 
 def _tally_finding(label: str, detail: str, matched: int, total: int,
@@ -168,7 +173,7 @@ def _tally_finding(label: str, detail: str, matched: int, total: int,
         return Finding(label, "supported", f"{detail}; {matched}/{total} instances match")
     status = "counterexample" if matched == 0 else "mixed"
     return Finding(label, status, f"{detail}; {matched}/{total} instances match",
-                   tuple(witnesses[:3]))
+                   tuple(witnesses))
 
 
 def _findings(tallies: dict) -> tuple:
@@ -181,7 +186,9 @@ def _run(check: "_Check", ctx: OracleScope) -> tuple:
     """Count the instances, passes, witnesses and reading tallies of one check.
 
     ``check.judge(ctx, *instance)`` yields ``True`` for a pass, a ``Witness``
-    for a failure, and ``(key, match, witness)`` for a reading of the claim.
+    for a failure, and ``(key, match, build)`` for a reading of the claim,
+    where ``build()`` makes the reading's witness. A finding prints at most
+    three witnesses, so only the first three misses of a reading build one.
     """
     tallies = {key: [detail, 0, 0, []] for key, detail in check.readings}
     instances = passes = 0
@@ -196,12 +203,12 @@ def _run(check: "_Check", ctx: OracleScope) -> tuple:
             elif isinstance(verdict, Witness):
                 witnesses.append(verdict)
             else:
-                key, match, wit = verdict
+                key, match, build = verdict
                 rec = tallies[key]
                 rec[1] += match
                 rec[2] += 1
-                if not match:
-                    rec[3].append(wit)
+                if not match and len(rec[3]) < 3:
+                    rec[3].append(build())
     holds = ("confirmed" if not witnesses
              else "counterexample" if passes == 0 else "mixed")
     return instances, holds, witnesses, check.report(tallies)
@@ -305,13 +312,10 @@ def _judge_t_char(ctx, g, x, st):
     cls = classify(x)
     n_subsets = (1 << x.size) - 1  # non-empty subsets
     summands = len(cls.nontrivial_summands())
-    neither = cls.rho_prime  # excludes {0}
+    neither = cls.rho_prime  # excludes {0}, which is neither: add 1 to include it
     not_sum_or_not_summand = sum(
         1 for c in cls.per_subset.values()
         if not (c.is_nontrivial_sumset and c.is_nontrivial_summand))
-    neither_with_zero = sum(
-        1 for c in cls.per_subset.values()
-        if not c.is_nontrivial_sumset and not c.is_nontrivial_summand)
     pend = len(st.pendant_vertices)
     pendant_neighbors = dict(zip(g.vertices, _pendant_neighbors(g)))
     for sol in sols:
@@ -320,13 +324,13 @@ def _judge_t_char(ctx, g, x, st):
             yield Witness(g, ctx.labeling(x, sol), "condition (a): no {0}-labeled vertex")
             continue
         yield True
-        wit = Witness(g, ctx.labeling(x, sol), f"X = {x}")
+        wit = partial(_solution_witness, ctx, g, x, sol)
         deg0 = st.degrees[zv]
         pend_adj = pendant_neighbors[zv]
         yield "b-nonempty", pend == n_subsets - summands, wit
         yield "b-with-empty", pend == n_subsets - summands + 1, wit
         yield "c-not-both", deg0 == not_sum_or_not_summand, wit
-        yield "c-neither", deg0 == neither_with_zero, wit
+        yield "c-neither", deg0 == neither + 1, wit
         yield "d-excl-zero", pend_adj == neither, wit
         yield "d-incl-zero", pend_adj == neither + 1, wit
 
@@ -334,7 +338,7 @@ def _judge_t_char(ctx, g, x, st):
 def _judge_t_tree(ctx, g, x, st):
     """A tree is graceful iff it is the star with 2^|X| - 2 leaves."""
     admits = bool(ctx.iasgl_solutions(g, x))
-    is_right_star = st.is_star and g.m == (1 << x.size) - 2
+    is_right_star = _graceful_star(g, x, st)
     yield admits == is_right_star or Witness(
         g, None,
         f"tree admits={admits} but star-with-{(1 << x.size) - 2}-leaves="
@@ -350,9 +354,8 @@ def _judge_t_toppend(ctx, g, x, st):
 
 def _judge_t_disc(ctx, g, x, st):
     """Discrete-topology labelings exist iff 2^(|X|-1) pendants share a neighbor."""
-    full = frozenset(x.subset_masks())
-    admits = any(frozenset(sol.values()) == full
-                 for sol in ctx.top_iasl_solutions(g, x))
+    # on 2^|X| - 1 vertices an injective labeling uses every non-empty subset
+    admits = bool(ctx.top_iasl_solutions(g, x))
     cond = max(_pendant_neighbors(g)) >= 1 << (x.size - 1)
     yield admits == cond or Witness(
         g, None,
@@ -376,7 +379,8 @@ def _judge_t_treq(ctx, g, x, st):
     yield a == b or Witness(
         g, None, f"graceful={a} but topological-graceful={b} over X = {x}")
     for sol in ctx.iasgl_solutions(g, x):
-        yield "tree-iasgl-topological", closed_family(sol.values(), x.mask), None
+        yield ("tree-iasgl-topological", closed_family(sol.values(), x.mask),
+               partial(_solution_witness, ctx, g, x, sol))
 
 
 def _report_treq(tallies: dict) -> tuple:
@@ -393,14 +397,14 @@ def _judge_t_acyc(ctx, g, x, st):
     """
     leaves = g.n - 1
     literal = (1 << (1 << x.size)) - 2
+    match = st.is_star and leaves == literal
+    detail = (f"literal reading wants K_(1,{literal}), instance is a star with "
+              f"{leaves} leaves")
     for sol in ctx.top_iasgl_solutions(g, x):
-        yield (st.is_star and leaves == (1 << x.size) - 2) or Witness(
+        yield _graceful_star(g, x, st) or Witness(
             g, ctx.labeling(x, sol), f"acyclic but not the expected star over X = {x}")
-        match = st.is_star and leaves == literal
-        yield "acyclic-literal-exponent", match, None if match else Witness(
-            g, ctx.labeling(x, sol),
-            f"literal reading wants K_(1,{literal}), instance is a star with "
-            f"{leaves} leaves")
+        yield ("acyclic-literal-exponent", match,
+               partial(_solution_witness, ctx, g, x, sol, detail))
 
 
 def _report_acyc(tallies: dict) -> tuple:
@@ -427,7 +431,7 @@ def _judge_t_nsc(ctx, g, x, st):
     scr = screen(g, x, "top_iasgl")
     degrees = set(st.degrees.values())
     for sol in sols:
-        wit = Witness(g, ctx.labeling(x, sol), f"X = {x}")
+        wit = partial(_solution_witness, ctx, g, x, sol)
         yield (scr.edge_count_ok and scr.vertex_count_ok) or Witness(
             g, ctx.labeling(x, sol),
             f"condition (a) fails: edges={g.m}, vertices={g.n} over X = {x}")
@@ -439,11 +443,9 @@ def _judge_t_nsc(ctx, g, x, st):
 
 def _judge_t_discgl(ctx, g, x, st):
     """Discrete-topology graceful labelings single out the star K_(1, 2^|X|-2)."""
-    full = frozenset(x.subset_masks())
-    admits = any(frozenset(sol.values()) == full
-                 for sol in ctx.top_iasgl_solutions(g, x))
-    leaves = (1 << x.size) - 2
-    is_star_shape = st.is_star and g.m == leaves
+    # a labeling is discrete iff it labels 2^|X| - 1 vertices injectively
+    admits = g.n == (1 << x.size) - 1 and bool(ctx.top_iasgl_solutions(g, x))
+    is_star_shape = _graceful_star(g, x, st)
     yield admits == is_star_shape or Witness(
         g, None,
         f"discrete graceful labeling exists={admits}, graph is the star="
@@ -546,27 +548,19 @@ def run_checks(theorem_ids, max_vertices: int, ground_sets) -> list[TheoremRepor
             raise ValueError(f"theorem id {tid!r} is given twice")
     ctx = OracleScope(max_vertices, ground_sets)
     ctx.graphs()  # shared set-up, so that no check's time includes it
-    return [_run_check(tid, ctx) for tid in theorem_ids]
+    reports = []
+    for tid in theorem_ids:
+        check = ORACLE_CHECKS[tid]
+        instances, holds, witnesses, findings = check.fn(ctx)
+        reports.append(TheoremReport(tid, check.description, ctx.scope, instances,
+                                     holds, tuple(witnesses), check.ambiguous,
+                                     tuple(findings)))
+    return reports
 
 
 def run_oracle(theorem_id: str, max_vertices: int, ground_sets) -> TheoremReport:
     """Run one registered check over the given scope."""
     return run_checks((theorem_id,), max_vertices, ground_sets)[0]
-
-
-def _run_check(theorem_id: str, ctx: OracleScope) -> TheoremReport:
-    check = ORACLE_CHECKS[theorem_id]
-    instances, holds, witnesses, findings = check.fn(ctx)
-    return TheoremReport(
-        theorem_id=theorem_id,
-        description=check.description,
-        scope=ctx.scope,
-        instances_checked=instances,
-        holds=holds,
-        witnesses=tuple(witnesses),
-        documented=check.ambiguous,
-        findings=tuple(findings),
-    )
 
 
 def run_all(max_vertices: int, ground_sets) -> list[TheoremReport]:

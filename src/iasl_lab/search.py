@@ -62,13 +62,7 @@ class StructuralScreen:
         """Every field in declaration order, the classification as its four
         counts."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        c = out.pop("classification")
-        out["classification"] = {
-            "rho": c.rho,
-            "rho_prime": c.rho_prime,
-            "rho_double_prime": c.rho_double_prime,
-            "x_is_sumset": c.x_is_sumset,
-        }
+        out["classification"] = out.pop("classification").to_json()
         return out
 
 

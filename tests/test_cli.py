@@ -364,6 +364,30 @@ class TestOracle:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a415b362cf7028bdb39611b02863c9960e8420aa7cab778ad16620a35559c5d4")
 
+    # at one and two vertices every reading tally is empty, so these pin the
+    # findings of a reading that no labeling reached as well
+    @pytest.mark.parametrize("scope, digest", [
+        ("--max-vertices 1",
+         "5b5a23d323ca34dca26c400be62be0bdacb1a95e6035f510d78a9c91085319b4"),
+        ("--max-vertices 2",
+         "6163f4a8595da29a193f5b2e717417533cffaeacc3d1824d24c60cd0f4acdb6e"),
+        ("--max-vertices 3",
+         "5f0c9eb8bdd6a2e5f79d44c2d18d5dd34821ee55dcac2f4b14965a9b3bbfed92"),
+        ("--max-vertices 4",
+         "ed8a292035fe3759a94a1b05e80d22def031ae4cfffc746cdfe17a95f6f99e6c"),
+        ("--max-vertices 5",
+         "a9aee1ba66e8fc96ee572ede7d1c27c63889ea6ee3155230a331d3dc090d3ade"),
+        ("--max-vertices 6 --ground-set {0,1,3}",
+         "2dc33e31b88cd404cd49a4b5cd1a9e00c4feed763802de15a52d5ee4381a03ce"),
+        ("--max-vertices 5 --ground-set {0,1,2,3}",
+         "1bd9a7d6c8b8721ebed2e1bc0bc7afb8ec22a49799cbdb5c94a481f47479457d"),
+    ])
+    def test_other_scope_json_bytes_are_pinned(self, capsys, scope, digest):
+        import hashlib
+        code, out, _ = run(capsys, "oracle", "all", *scope.split(), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestExitCodeContract:
     def test_verdict_and_exit_agree(self, capsys, k12, tmp_path):

@@ -1,6 +1,8 @@
 """Generated round-trip properties and the shared line rule of the three
 file formats."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,40 @@ def test_graph_emit_reparses_identically(g):
 def test_labeling_emit_reparses_identically(f):
     again = parse_labeling(f.emit())
     assert again.ground == f.ground
+    assert again.assignment == f.assignment
+
+
+# names the text formats would change: whitespace splits a name into tokens,
+# "#" starts a comment and an empty name is a blank line
+UNWRITABLE_NAMES = ["a b", "#x", "#a", ""]
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_NAMES)
+def test_graph_emit_refuses_a_name_it_cannot_carry(name):
+    g = Graph(["u", name, "w #"], [("u", name)])
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        g.emit()
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_NAMES)
+def test_labeling_emit_refuses_a_name_it_cannot_carry(name):
+    f = Labeling(GroundSet((0, 1)), {"u": IntSet((0,)), name: IntSet((1,)),
+                                     "w #": IntSet((0, 1))})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        f.emit()
+
+
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+def test_emit_reparses_identically_or_refuses(vs):
+    g = Graph(vs, list(zip(vs, vs[1:])))
+    try:
+        text = g.emit()
+    except ValueError:
+        return
+    assert parse_graph(text) == g
+    x = GroundSet((0, 1, 2))
+    f = Labeling(x, dict(zip(vs, all_nonempty_subsets(x))))
+    again = parse_labeling(f.emit())
     assert again.assignment == f.assignment
 
 

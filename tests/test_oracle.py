@@ -140,6 +140,32 @@ class TestKnownOutcomes:
         assert t.holds == "confirmed"
 
 
+@pytest.fixture(scope="module")
+def counted_seven():
+    """The reports at seven vertices and how many labelings they built."""
+    built = []
+    labeling = OracleScope.labeling
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OracleScope, "labeling", staticmethod(
+            lambda x, sol: built.append(sol) or labeling(x, sol)))
+        reports = run_all(7, [X01, X012])
+    return reports, len(built)
+
+
+class TestReadingWitnesses:
+    def test_only_reported_labelings_are_built(self, counted_seven):
+        reports, built = counted_seven
+        witnesses = [w for r in reports for w in r.witnesses] + [
+            w for r in reports for f in r.findings for w in f.witnesses]
+        assert built == len(witnesses) == 28
+
+    def test_a_reading_finding_carries_at_most_three_witnesses(self, counted_seven):
+        reports, _ = counted_seven
+        findings = [f for r in reports for f in r.findings]
+        # T-char's b-nonempty reading misses on all 734 instances
+        assert max(len(f.witnesses) for f in findings) == 3
+
+
 class TestSolutionCaches:
     def test_top_iasgl_filter_matches_the_search(self):
         scope = OracleScope(6, [X01, X012])
