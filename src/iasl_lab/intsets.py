@@ -306,6 +306,9 @@ class SumsetClassification:
     ``rho_double_prime`` is the same count under the alternate wording of the
     existence theorem's condition (b); with the non-triviality convention used
     here the two wordings coincide, so the fields always agree.
+    ``zero_degree_floor`` (beta) counts subsets other than {0} that are no sum
+    A + B of distinct subsets A, B other than {0}: in a set-graceful labeling
+    each labels an edge at the {0}-vertex, so that vertex has degree >= beta.
     """
 
     ground: GroundSet
@@ -314,6 +317,7 @@ class SumsetClassification:
     rho_prime: int
     rho_double_prime: int
     x_is_sumset: bool
+    zero_degree_floor: int
 
     def to_json(self) -> dict:
         """The four counts, in declaration order."""
@@ -346,12 +350,15 @@ def classify(x: GroundSet) -> SumsetClassification:
     # to it; position 0 holds {0}, the trivial summand
     witness: dict[int, tuple[int, int]] = {}
     summands = 0
+    distinct = 0  # sum bits of pairs p < q
     for p in range(1, len(subs)):
         row = sums[p]
         for q in range(p, len(subs)):
             if row[q]:
                 witness.setdefault(row[q], (subs[p], subs[q]))
                 summands |= 1 << p | 1 << q
+                if q > p:
+                    distinct |= row[q]
     per: dict[IntSet, SubsetClass] = {}
     rho = 0
     neither = 0
@@ -372,4 +379,6 @@ def classify(x: GroundSet) -> SumsetClassification:
         rho_prime=neither,
         rho_double_prime=neither,
         x_is_sumset=1 << (len(subs) - 1) in witness,
+        # every position but {0}'s is a required edge label
+        zero_degree_floor=(((1 << len(subs)) - 2) & ~distinct).bit_count(),
     )

@@ -19,7 +19,8 @@ from .graphs import (ENUMERATION_VERTEX_CAP, Graph, enumerate_connected_graphs,
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
                       classify)
 from .labelings import Labeling
-from .search import iter_iasgl_assignments, iter_top_iasl_assignments, screen
+from . import search
+from .search import iter_iasgl_assignments, iter_top_iasl_assignments
 from .topology import (closed_family, enumerate_topologies,
                        realize_topology, verify_top_iasl)
 
@@ -428,7 +429,7 @@ def _judge_t_nsc(ctx, g, x, st):
     sols = ctx.top_iasgl_solutions(g, x)
     if not sols:
         return
-    scr = screen(g, x, "top_iasgl")
+    scr = search.screen(g, x, "top_iasgl")
     degrees = set(st.degrees.values())
     for sol in sols:
         wit = partial(_solution_witness, ctx, g, x, sol)

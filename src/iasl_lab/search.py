@@ -31,11 +31,13 @@ from .topology import (Topology, _families_by_open_count, _topology,
 class StructuralScreen:
     """Necessary-condition report for graceful searches.
 
-    ``edge_count_ok``, ``vertex_count_ok`` and ``pendant_floor_ok`` are
-    provably necessary and may be used to skip the search outright. The two
-    pendant readings mirror the existence theorem's condition (c), whose
-    statement and proof swap the rho' and 1 + rho' bounds; ``max_degree_ok``
-    mirrors the degree named in the proof and is informational only.
+    ``edge_count_ok``, ``vertex_count_ok``, ``pendant_floor_ok`` and
+    ``zero_degree_floor_ok`` are provably necessary. ``admissible()`` reads
+    the first three, as ``perfbench/gen_deep.py`` selects graphs by it; the
+    graceful core applies the fourth itself, with 0 nodes. The two pendant
+    readings mirror the existence theorem's condition (c), whose statement
+    and proof swap the rho' and 1 + rho' bounds; ``max_degree_ok`` mirrors
+    the degree named in the proof and is informational only.
     """
 
     edge_count_ok: bool
@@ -43,6 +45,7 @@ class StructuralScreen:
     pendant_count_ok_reading_a: bool
     pendant_count_ok_reading_b: bool
     pendant_floor_ok: bool
+    zero_degree_floor_ok: bool
     max_degree_ok: bool
     edge_count: int
     required_edges: int
@@ -50,6 +53,7 @@ class StructuralScreen:
     min_vertices: int
     pendant_count: int
     pendant_floor: int
+    zero_degree_floor: int
     max_degree: int
     degree_target: int
     classification: SumsetClassification
@@ -71,11 +75,11 @@ def screen(g: Graph, x: GroundSet, mode: str = "iasgl") -> StructuralScreen:
     if mode not in ("iasgl", "top_iasgl"):
         raise ValueError(f"screen mode must be 'iasgl' or 'top_iasgl', got {mode!r}")
     cls = classify(x)
-    n_subsets = 1 << x.size
-    required_edges = n_subsets - 2
-    # a {0}-vertex is forced only by a required label that is no non-trivial
-    # sumset; for |X| >= 2, {0, max X} is one, for X = {0} nothing is required
-    min_vertices = n_subsets - (cls.rho + 1) if required_edges else 0
+    required_edges = (1 << x.size) - 2
+    beta = cls.zero_degree_floor
+    # the {0}-vertex and its beta distinct neighbours; for |X| >= 2,
+    # {0, max X} counts towards beta, for X = {0} nothing is required
+    min_vertices = 1 + beta if beta else 0
     degrees = g.degrees()
     pendant_count = sum(1 for d in degrees.values() if d == 1)
     max_degree = max(degrees.values(), default=0)
@@ -99,6 +103,8 @@ def screen(g: Graph, x: GroundSet, mode: str = "iasgl") -> StructuralScreen:
         pendant_count=pendant_count,
         pendant_floor=pendant_floor,
         pendant_floor_ok=pendant_count >= pendant_floor,
+        zero_degree_floor=beta,
+        zero_degree_floor_ok=max_degree >= beta,
         max_degree=max_degree,
         degree_target=degree_target,
     )
@@ -168,20 +174,25 @@ def _capacities(x: GroundSet, family: int) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(caps), tuple(accumulate(reversed(exact), or_))[::-1]
 
 
-def _domains(degrees: list[int], x: GroundSet,
-             family: int) -> Optional[list[int]]:
+def _domains(degrees: list[int], x: GroundSet, family: int,
+             zero_floor: int = 0) -> Optional[list[int]]:
     """Each vertex's candidate bitset: the positions of ``family`` whose
-    capacity (``_capacities``) is at least the vertex's degree.
+    capacity (``_capacities``) is at least the vertex's degree, without
+    position 0 ({0}) at vertices of degree below ``zero_floor``.
 
-    None when no injective labeling fits: the i-th largest degree needs i
+    None when no injective labeling fits: a positive ``zero_floor`` needs {0}
+    on a vertex of at least that degree, and the i-th largest degree needs i
     distinct positions of at least that capacity, so it may not exceed the
     i-th largest capacity. ``degrees`` come largest first, as in
     ``_search_order``.
     """
+    if zero_floor and degrees[0] < zero_floor:
+        return None
     caps, at_least = _capacities(x, family)
     if len(degrees) > len(caps) or not all(map(le, degrees, caps)):
         return None
-    return [at_least[d] for d in degrees]
+    return [at_least[d] if d >= zero_floor else at_least[d] & ~1
+            for d in degrees]
 
 
 def _assignments(earlier: list[list[int]], domains: list[int],
@@ -259,14 +270,15 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     labels still missing from the image. Injectivity rules out {0} + {0},
     so the partner bitsets alone decide which edge labels are acceptable,
     and a vertex only takes subsets whose capacity (``_domains``) covers its
-    degree.
+    degree, and {0} only when its degree reaches the zero-degree floor
+    (``SumsetClassification.zero_degree_floor``).
     """
     if g.m != (1 << x.size) - 2:
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     everything = (1 << len(masks)) - 1
-    domains = _domains(degrees, x, everything)
+    domains = _domains(degrees, x, everything, classify(x).zero_degree_floor)
     if domains is None:
         return
     left = [g.m - decided for decided in accumulate(map(len, earlier))]
@@ -275,6 +287,11 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     for picks in _assignments(earlier, domains, _partner_bitsets(x),
                               counter, cover):
         yield {order[v]: masks[p] for v, p in enumerate(picks)}
+
+
+def _labels_fit(n: int, size: int) -> bool:
+    """Whether n vertices can take distinct non-empty subsets of X, |X| = size."""
+    return n < 1 << size
 
 
 def _first_found(g: Graph, x: GroundSet, assignments,
@@ -300,19 +317,20 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
                               ) -> Iterator[tuple[Topology, dict]]:
     """Yield (topology, assignment) for every topological labeling of g.
 
-    Nothing when every vertex has degree ≥ 2: X + A ⊆ X forces A = {0}, so the
-    vertex labeled X has at most one neighbour. Otherwise, for each topology
-    T on X with |T| - 1 = |V|, backtracks over bijections from vertices to
-    T - {∅} keeping every edge sumset inside P(X). The topologies come from
+    Nothing when g has too many vertices for distinct labels, or when every
+    vertex has degree ≥ 2: X + A ⊆ X forces A = {0}, so the vertex labeled X
+    has at most one neighbour. Otherwise, for each topology T on X with
+    |T| - 1 = |V|, backtracks over bijections from vertices to T - {∅}
+    keeping every edge sumset inside P(X). The topologies come from
     the family table of their cardinality; a vertex's candidates are the
     unused opens of T whose capacity in T covers its degree and that are
     partners of every earlier neighbour's label. A topology whose capacities
     cannot hold the degrees (``_domains``) is skipped without a node.
     """
-    # the capacity rule implies this (X has capacity ≤ 1 in every topology),
-    # but only once the topology table of |X| is built, which
-    # minimal_ground_set would then pay for graphs that never match
-    if all(d >= 2 for d in g.degrees().values()):
+    # the capacity rule and the table's open counts imply both, but only
+    # once the topology table of |X| is built, which minimal_ground_set would
+    # then pay for graphs that never match
+    if not _labels_fit(g.n, x.size) or all(d >= 2 for d in g.degrees().values()):
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
@@ -377,9 +395,10 @@ def minimal_ground_set(g: Graph, mode: str,
         raise ValueError("element bound capped at 10")
     pool = range(1, element_bound + 1)
     for size in range(1, DEFAULT_GROUND_CAP + 1):
-        # an injective labeling has at most 2^|X| - 1 labels, and graceful
-        # ones pin the edge count to 2^|X| - 2, so skip sizes that cannot match
-        if g.n >= 1 << size or (mode != "top_iasl" and g.m != (1 << size) - 2):
+        # graceful labelings pin the edge count to 2^|X| - 2, so skip sizes
+        # that cannot match
+        if not _labels_fit(g.n, size) or (mode != "top_iasl"
+                                          and g.m != (1 << size) - 2):
             continue
         candidates = [(0,) + combo for combo in combinations(pool, size - 1)]
         candidates.sort(key=lambda c: (c[-1], c))

@@ -166,6 +166,18 @@ class TestReadingWitnesses:
         assert max(len(f.witnesses) for f in findings) == 3
 
 
+class TestScreenLookup:
+    def test_t_nsc_screens_through_the_search_module(self, monkeypatch):
+        # instrumentation that wraps search.screen sees the oracle's calls
+        from iasl_lab import search
+        calls = []
+        screen = search.screen
+        monkeypatch.setattr(search, "screen",
+                            lambda g, x, mode: calls.append((g, x)) or screen(g, x, mode))
+        run_oracle("T-nsc", 7, [X01, X012])
+        assert len(calls) == 2
+
+
 class TestSolutionCaches:
     def test_top_iasgl_filter_matches_the_search(self):
         scope = OracleScope(6, [X01, X012])

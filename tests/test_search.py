@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from iasl_lab import (Graph, GroundSet, IntSet, Labeling, complete, cycle,
+from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
+                      classify, complete, cycle,
                       enumerate_connected_graphs, enumerate_topologies,
                       iter_iasgl_assignments, iter_top_iasl_assignments,
                       minimal_ground_set,
@@ -13,7 +14,7 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, complete, cycle,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
-from iasl_lab.intsets import _sum_bits, sumset_mask
+from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask
 from iasl_lab.search import _assignments, _partner_bitsets, _search_order
 from iasl_lab.topology import _families_by_open_count, _topology
 
@@ -108,6 +109,26 @@ class TestScreen:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             screen(star(2), X01, "nonsense")
+
+    @pytest.mark.parametrize("ground, beta, min_vertices", [
+        ((0,), 0, 0), ((0, 1), 2, 3), ((0, 1, 2), 5, 6), ((0, 1, 3), 6, 7),
+        ((0, 1, 2, 3), 8, 9), ((0, 2, 3, 5), 10, 11), ((0, 1, 2, 4), 12, 13),
+        ((0, 1, 2, 3, 4), 14, 15)], ids=str)
+    def test_zero_degree_floor_and_min_vertices(self, ground, beta, min_vertices):
+        x = GroundSet(ground)
+        scr = screen(star(2), x)
+        assert scr.zero_degree_floor == classify(x).zero_degree_floor == beta
+        assert scr.min_vertices == min_vertices
+        assert scr.zero_degree_floor_ok == (beta <= 2)
+
+    def test_min_vertices_never_falls_below_the_sumset_count(self):
+        # 1 + beta against the earlier bound 2^|X| - 1 - rho, which counts
+        # only the required labels that are no non-trivial sumset at all
+        for k in range(1, 5):
+            for rest in combinations(range(1, 8), k):
+                x = GroundSet((0,) + rest)
+                scr = screen(star(2), x)
+                assert scr.min_vertices >= (1 << x.size) - 1 - scr.classification.rho
 
 
 class TestSearchIasgl:
@@ -209,6 +230,16 @@ class TestSearchTopIasl:
         # of minimum degree >= 2 (1, 3, 11, 61 and 507 for n = 3..7)
         assert ruled_out == 8 * 585
 
+    def test_too_many_vertices_skip_the_table(self):
+        # n >= 2^|X| vertices cannot take distinct non-empty subsets of X
+        for g, x in ((path(4), X01), (star(7), X012), (path(8), X012)):
+            calls = _families_by_open_count.cache_info()
+            counter = [0]
+            assert list(iter_top_iasl_assignments(g, x, counter)) == []
+            assert counter[0] == 0
+            after = _families_by_open_count.cache_info()
+            assert after.hits + after.misses == calls.hits + calls.misses
+
     def test_edge_sums_stay_inside_ground_set(self):
         for g in (path(2), path(3), star(3)):
             out = search_top_iasl(g, X012)
@@ -266,9 +297,10 @@ class TestTopIaslCore:
 class TestIasglCore:
     # (nodes, solutions) of every set-graceful labeling of the connected
     # graphs with at most seven vertices; without the capacity rule the core
-    # walked 4852, 4230 and 37483 nodes for the same solutions
-    TOTALS = {(0, 1, 2): (2089, 732), (0, 1, 3): (1957, 720),
-              (0, 1, 2, 3): (374, 0)}
+    # walked 4852, 4230 and 37483 nodes for the same solutions, and without
+    # the zero-degree floor 2089, 1957 and 374
+    TOTALS = {(0, 1, 2): (2079, 732), (0, 1, 3): (1957, 720),
+              (0, 1, 2, 3): (0, 0)}
 
     @pytest.mark.parametrize("ground", sorted(TOTALS),
                              ids=lambda g: ",".join(map(str, g)))
@@ -310,10 +342,15 @@ class TestIasglCore:
         assert (graphs, solutions) == (30, 720)
 
     def test_deep_graph_not_found_after_fixed_node_count(self):
-        g = parse_graph((DEEP_DIR / "g02.edges").read_text(encoding="utf-8"))
-        out = search_iasgl(g, GroundSet(range(5)))
-        assert not out.found
-        assert out.nodes_explored == 4005
+        # beta({0,...,4}) = 14 exceeds the maximum degree of every deep
+        # graph (10, 8 and 6), so the core reads no node
+        x = GroundSet(range(5))
+        for p in sorted(DEEP_DIR.glob("*.edges")):
+            g = parse_graph(p.read_text(encoding="utf-8"))
+            out = search_iasgl(g, x)
+            assert not out.found
+            assert out.nodes_explored == 0
+            assert not out.screen.zero_degree_floor_ok
 
 
 class TestCapacityRule:
@@ -362,6 +399,37 @@ class TestCapacityRule:
             counter = [0]
             assert list(unpruned_iasgl_assignments(g, x, counter)) == []
             assert counter[0] > 0
+
+
+class TestZeroDegreeFloor:
+    """The zero-degree floor: the {0}-vertex has degree ≥ beta(X)."""
+
+    GROUNDS = [GroundSet((0,) + c) for r in range(1, 4)
+               for c in combinations((1, 2, 3), r)]
+
+    def test_every_graceful_solution_meets_the_floor(self):
+        ctx = OracleScope(7, self.GROUNDS)
+        solutions = 0
+        for g, x in ctx.pairs():
+            beta = classify(x).zero_degree_floor
+            for sol in ctx.iasgl_solutions(g, x):
+                zero = [v for v, m in sol.items() if m == ZERO_MASK]
+                assert len(zero) == 1
+                assert g.degree(zero[0]) >= beta
+                assert g.n >= 1 + beta
+                solutions += 1
+        assert solutions == 2178
+
+    def test_core_yields_what_the_unpruned_core_yields(self):
+        # the same sequence, in the same order, on every connected class
+        # with at most seven vertices; over {0,1,2,3} (beta = 8) the floor
+        # leaves the core no node where the unpruned core walks 37,483
+        graphs = [g for n in range(1, 8)
+                  for g in enumerate_connected_graphs(n, dedup=True)]
+        for x in self.GROUNDS:
+            for g in graphs:
+                assert (list(iter_iasgl_assignments(g, x))
+                        == list(unpruned_iasgl_assignments(g, x)))
 
 
 class TestSearchTopIasgl:
