@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_MAX_ELEMENT = 63
 DEFAULT_GROUND_CAP = 5
@@ -268,6 +268,19 @@ def _sum_bits(x: GroundSet) -> tuple[tuple[int, ...], ...]:
     bit = {m: 1 << p for p, m in enumerate(masks)}
     return tuple(tuple(bit.get(sumset_mask(a, b), 0) for b in masks)
                  for a in masks)
+
+
+def table_key(elements: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """The position triples (i, j, k), i <= j, with x_i + x_j = x_k, for the
+    increasing elements x_0 = 0 < x_1 < ... of a ground set.
+
+    Two ground sets have equal keys exactly when their ``_sum_bits`` tables
+    are equal: A + B lies in X when every a + b lands in X, and is then the
+    set of those landing points; the singleton entries give the triples back.
+    """
+    index = {e: k for k, e in enumerate(elements)}
+    return tuple((i, j, index[a + b]) for i, a in enumerate(elements)
+                 for j, b in enumerate(elements[i:], i) if a + b in index)
 
 
 def summand_decompositions(c: IntSet, x: GroundSet) -> list[tuple[IntSet, IntSet]]:

@@ -19,7 +19,8 @@ from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
-                      SumsetClassification, _sum_bits, bits_of, classify)
+                      SumsetClassification, _sum_bits, bits_of, classify,
+                      table_key)
 from .labelings import Labeling
 # enumerate_topologies stays in this namespace for instrumentation that
 # wraps it where the searches look it up
@@ -385,7 +386,9 @@ def minimal_ground_set(g: Graph, mode: str,
     for which g admits a labeling of the requested class.
 
     Candidates contain 0 and draw their other elements from 1..element_bound.
-    Returns None when every candidate within the caps fails.
+    Returns None when every candidate within the caps fails. A candidate
+    whose sumset table (``table_key``) has already failed is skipped: the
+    searches read X only through that table and |X|, so it would fail again.
     """
     if mode not in SEARCHES:
         raise ValueError(f"mode must be one of {tuple(SEARCHES)}, got {mode!r}")
@@ -394,6 +397,7 @@ def minimal_ground_set(g: Graph, mode: str,
     if element_bound > 10:
         raise ValueError("element bound capped at 10")
     pool = range(1, element_bound + 1)
+    failed = set()
     for size in range(1, DEFAULT_GROUND_CAP + 1):
         # graceful labelings pin the edge count to 2^|X| - 2, so skip sizes
         # that cannot match
@@ -403,7 +407,11 @@ def minimal_ground_set(g: Graph, mode: str,
         candidates = [(0,) + combo for combo in combinations(pool, size - 1)]
         candidates.sort(key=lambda c: (c[-1], c))
         for cand in candidates:
+            key = table_key(cand)
+            if key in failed:
+                continue
             x = GroundSet(cand)
             if SEARCHES[mode](g, x).found:
                 return x
+            failed.add(key)
     return None

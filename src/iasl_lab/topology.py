@@ -156,18 +156,27 @@ def _families(k: int) -> tuple[int, ...]:
     The increasing bijection onto any ground set of size k keeps that order,
     so position p reads as ``x.subset_masks()[p]`` there. A topology is
     fixed by its least open sets (Alexandroff): x ∈ U[x], and y ∈ U[x]
-    implies U[y] ⊆ U[x]; each U[x] is checked both ways against earlier U[y].
+    implies U[y] ⊆ U[x]. They are chosen point by point, each choice kept
+    as the table of the union of U[y] over every set of the points so far;
+    since x ∈ U[x], a set m is open exactly when that union is m itself.
     """
     masks = sorted(range(1, 1 << k), key=subset_sort_key)
-    maps = [()]
+    unions = [[0]]
     for x in range(k):
         bit = 1 << x
-        maps = [least + (u,) for least in maps for u in masks
-                if u & bit and not any(u >> y & 1 and v & ~u or v & bit and u & ~v
-                                       for y, v in enumerate(least))]
-    # a set is open when it holds the least open set of each of its points
-    out = [sum(1 << p for p, m in enumerate(masks)
-               if not any(least[x] & ~m for x in bits_of(m))) for least in maps]
+        grown = []
+        for union in unions:
+            # U[x] lies inside each earlier U[y] that holds x, and holds
+            # each earlier U[y] with y in U[x]
+            cap = -1
+            for y in range(x):
+                if union[1 << y] & bit:
+                    cap &= union[1 << y]
+            grown += [union + [c | u for c in union] for u in masks
+                      if u & bit and not (union[u & (bit - 1)] & ~u or u & ~cap)]
+        unions = grown
+    out = [sum(1 << p for p, m in enumerate(masks) if union[m] == m)
+           for union in unions]
     out.sort(key=lambda fam: (fam.bit_count(), tuple(bits_of(fam))))
     return tuple(out)
 

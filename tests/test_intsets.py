@@ -12,6 +12,7 @@ from iasl_lab import (EnumerationInfeasible, GroundSet, IntSet,
                       all_nonempty_subsets, classify, summand_decompositions,
                       sumset)
 from iasl_lab.cli import main
+from iasl_lab.intsets import _sum_bits, table_key
 
 # SHA-256 over `classify --json` and every subset's summand decompositions,
 # for X = {0} plus up to four elements of 1..7 (see test_outputs_are_pinned)
@@ -289,3 +290,29 @@ class TestClassify:
                         digest.update(f"{a}+{b};".encode())
                     digest.update(b"\n")
         assert digest.hexdigest() == CLASSIFY_SHA256
+
+
+class TestTableKey:
+    def test_keys_match_sumset_tables(self):
+        # every X containing 0 inside {0,...,10} with |X| <= 5: 386 ground
+        # sets, grouped alike by their key and by their table
+        classes = {}
+        grounds = 0
+        for size in range(1, 6):
+            pairs = set()
+            for rest in combinations(range(1, 11), size - 1):
+                elems = (0,) + rest
+                pairs.add((table_key(elems), _sum_bits(GroundSet(elems))))
+                grounds += 1
+            keys = {key for key, _table in pairs}
+            tables = {table for _key, table in pairs}
+            assert len(keys) == len(tables) == len(pairs)
+            classes[size] = len(pairs)
+        assert grounds == 386
+        assert classes == {1: 1, 2: 1, 3: 2, 4: 7, 5: 37}
+
+    def test_triples(self):
+        assert table_key((0,)) == ((0, 0, 0),)
+        assert table_key((0, 1, 2)) == ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2))
+        assert table_key((0, 2, 3, 5)) == ((0, 0, 0), (0, 1, 1), (0, 2, 2),
+                                           (0, 3, 3), (1, 2, 3))

@@ -17,6 +17,8 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
 from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask
 from iasl_lab.search import _assignments, _partner_bitsets, _search_order
 from iasl_lab.topology import _families_by_open_count, _topology
+import iasl_lab.search as search
+from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
 
 X0 = GroundSet((0,))
 X01 = GroundSet((0, 1))
@@ -534,7 +536,82 @@ class TestPendantFloorSoundness:
                 assert forced_pendants(ground) >= len(ground) - 1
 
 
+# the 14 graphs of scripts/smallest_ground_sets.py
+TABULATED_GRAPHS = ([star(k) for k in (1, 2, 3, 6, 14)]
+                    + [path(n) for n in (2, 3, 4, 5)]
+                    + [cycle(n) for n in (3, 4, 6)]
+                    + [complete(4), complete_bipartite(2, 3)])
+
+
+def unskipped_minimal_ground_set(g, mode, element_bound):
+    """The first ground set, by cardinality, then max element, then
+    lexicographic, at which the mode's search succeeds, searching at every
+    candidate."""
+    candidates = [(0,) + rest for size in range(1, DEFAULT_GROUND_CAP + 1)
+                  for rest in combinations(range(1, element_bound + 1), size - 1)]
+    for cand in sorted(candidates, key=lambda c: (len(c), c[-1], c)):
+        if search.SEARCHES[mode](g, GroundSet(cand)).found:
+            return GroundSet(cand)
+    return None
+
+
+class TestSumsetTableInvariance:
+    def test_searches_read_x_only_through_its_table(self):
+        # up to three ground sets inside {0,...,10} for each of the 9 sumset
+        # tables with |X| = 3 or 4: verdict, node count and the first-found
+        # labeling as subset positions agree within every table
+        by_table = {}
+        for size in (3, 4):
+            for rest in combinations(range(1, 11), size - 1):
+                x = GroundSet((0,) + rest)
+                grounds = by_table.setdefault(_sum_bits(x), [])
+                if len(grounds) < 3:
+                    grounds.append(x)
+        assert len(by_table) == 9
+        graphs = [g for n in range(2, 7)
+                  for g in enumerate_connected_graphs(n, dedup=True)]
+        graphs += [star(6), star(14)]
+        compared = 0
+        for grounds in by_table.values():
+            for g in graphs:
+                for mode, find in search.SEARCHES.items():
+                    seen = set()
+                    for x in grounds:
+                        out = find(g, x)
+                        positions = None if out.labeling is None else tuple(
+                            (v, x.subset_masks().index(s.mask))
+                            for v, s in sorted(out.labeling.assignment.items()))
+                        seen.add((out.found, out.nodes_explored, positions))
+                    assert len(seen) == 1, (mode, grounds, g.edge_names())
+                    compared += 1
+        assert compared == 9 * 144 * 3
+
+
 class TestMinimalGroundSet:
+    @pytest.mark.parametrize("bound", [6, 10])
+    def test_table_skip_keeps_every_answer(self, bound):
+        for g in TABULATED_GRAPHS:
+            for mode in search.SEARCHES:
+                assert (minimal_ground_set(g, mode, bound)
+                        == unskipped_minimal_ground_set(g, mode, bound))
+
+    def test_one_search_per_failed_table(self, monkeypatch):
+        # no 3-, 4- or 5-element ground set inside {0,...,10} labels K6 plus
+        # a pendant topologically; 375 candidates, but 2 + 7 + 37 tables
+        k6 = complete(6)
+        g = Graph(list(k6.vertices) + ["p"],
+                  list(k6.edge_names()) + [(k6.vertices[0], "p")])
+        calls = []
+        top_iasl = search.SEARCHES["top_iasl"]
+
+        def counted(g, x):
+            calls.append(x)
+            return top_iasl(g, x)
+
+        monkeypatch.setitem(search.SEARCHES, "top_iasl", counted)
+        assert minimal_ground_set(g, "top_iasl") is None
+        assert len(calls) == len({_sum_bits(x) for x in calls}) == 46
+
     def test_small_star(self):
         assert str(minimal_ground_set(star(2), "iasgl")) == "{0,1}"
 

@@ -14,13 +14,16 @@ from iasl_lab.topology import _families, closed_family
 # topologies on an n-element set, n = 1..5 (OEIS A000798)
 TOPOLOGY_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 
-# SHA-256 of repr(_families(k)) as a brute force over all 2^(2^k - 2)
-# families built it
+# SHA-256 of repr(_families(k)), each recorded from an independent build:
+# for k <= 4 a brute force over all 2^(2^k - 2) families, for k = 5 a
+# least-open-set build that tested each set against its points' least open
+# sets one point at a time
 FAMILY_SHA256 = {
     1: "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f",
     2: "ebec466c93cdf15f194dcf25ff2b491fd6a809f44c7d9853ff6eeb195265b3f8",
     3: "2462d4bb65771f4e76ad3cfa118d2f9e9113f7c1173babba9da4aed3b156ee01",
     4: "105dcaf1027775d9b5ccdb9f3914bb632d5e4a614951da927845a930461809ce",
+    5: "3d79ffee03aca66f18da8e7029a1cf8c1d9db3986c6a907b401ac2282f86b58d",
 }
 
 
