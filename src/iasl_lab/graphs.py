@@ -30,17 +30,31 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
-def _induces_connected(adj: Sequence[int], alive: int) -> bool:
-    """Whether the vertices in the bitmask ``alive`` induce a connected graph,
-    given each vertex's neighbor bitmask."""
+def _component(adj: Sequence[int], alive: int) -> int:
+    """The vertices of the bitmask ``alive`` that its lowest vertex reaches
+    inside it, given each vertex's neighbor bitmask."""
     seen = frontier = alive & -alive
     while frontier:
         reach = 0
-        for v in bits_of(frontier):
-            reach |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & alive & ~seen
         seen |= frontier
-    return seen == alive
+    return seen
+
+
+def _induces_connected(adj: Sequence[int], alive: int) -> bool:
+    """Whether the vertices in the bitmask ``alive`` induce a connected graph,
+    given each vertex's neighbor bitmask."""
+    return _component(adj, alive) == alive
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The ``bits_of`` positions of every vertex mask below 2^n."""
+    return tuple(tuple(bits_of(mask)) for mask in range(1 << n))
 
 
 class Graph:
@@ -70,10 +84,23 @@ class Graph:
             if pair in pairs:
                 raise ValueError(f"duplicate edge ({u!r}, {w!r})")
             pairs.add(pair)
-        self.vertices = vs
+        self._fill(vs, index, tuple(sorted(pairs)))
+
+    @classmethod
+    def _unchecked(cls, vertices: tuple[str, ...],
+                   edges: tuple[tuple[int, int], ...]) -> Graph:
+        """The graph on distinct ``vertices`` with the sorted, distinct index
+        pairs ``edges`` (i < j), without the checks of ``__init__``."""
+        g = cls.__new__(cls)
+        g._fill(vertices, {v: i for i, v in enumerate(vertices)}, edges)
+        return g
+
+    def _fill(self, vertices: tuple[str, ...], index: dict[str, int],
+              edges: tuple[tuple[int, int], ...]) -> None:
+        self.vertices = vertices
         self._index = index
-        self.edges = tuple(sorted(pairs))
-        self._adj = tuple(_adjacency(len(vs), self.edges))
+        self.edges = edges
+        self._adj = tuple(_adjacency(len(vertices), edges))
         self._ckey: Optional[tuple[int, int]] = None
         self._hash: Optional[int] = None
 
@@ -262,21 +289,32 @@ def _edges_of_mask(n: int, mask: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs[k] for k in bits_of(mask))
 
 
-def _refine_colors(n: int, adj: list[list[int]]) -> list[int]:
+def _refine_colors(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     """Iterated degree refinement; the resulting color order is invariant.
 
     The first colors are the degree ranks. Each later round orders the
     vertices by their color, then by the sorted tuple of their neighbors'
     colors. Refinement only splits classes, so it is stable once a round
     adds none.
+
+    A round's signature is one int: the color above one field per color,
+    color 0 the most significant, each holding the complement of the count
+    of neighbors of that color (a count below n fits in n.bit_length()
+    bits). Vertices of one color have one degree, so at the first color
+    whose counts differ the larger count gives the smaller sorted tuple:
+    the ints order the vertices as the (color, tuple) pairs do.
     """
     degrees = [len(a) for a in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
     classes = len(rank)
+    width = n.bit_length()
     while classes < n:
-        sigs = [(colors[v], tuple(sorted(map(colors.__getitem__, adj[v]))))
-                for v in range(n)]
+        top = width * classes
+        full = (1 << top) - 1
+        weight = [1 << (top - width - width * c) for c in colors]
+        sigs = [c << top | full - sum(map(weight.__getitem__, a))
+                for c, a in zip(colors, adj)]
         distinct = sorted(set(sigs))
         if len(distinct) == classes:
             break
@@ -325,16 +363,20 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     blocks: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         blocks.setdefault(c, []).append(v)
-    # after[v] is the field of v's previous twin in its block, or 0; v may be
-    # placed when placed & gate[v] == after[v], that is, v is unplaced and
-    # that twin is placed
+    # after[v] is the field of v's previous twin, or 0 (twins share a color,
+    # so that twin is in v's block); v may be placed when placed & gate[v] ==
+    # after[v], that is, v is unplaced and that twin is placed. Twins that
+    # are not adjacent have one neighborhood, adjacent twins one closed
+    # neighborhood, and no vertex has twins of both kinds.
     after = [0] * n
-    for block in blocks.values():
-        for k, v in enumerate(block):
-            for u in reversed(block[:k]):
-                if nbrs[u] & ~(1 << v) == nbrs[v] & ~(1 << u):
-                    after[v] = field[u]
-                    break
+    last_open: dict[int, int] = {}
+    last_closed: dict[int, int] = {}
+    for v, a in enumerate(nbrs):
+        closed = a | 1 << v
+        u = last_open.get(a, last_closed.get(closed))
+        if u is not None:
+            after[v] = field[u]
+        last_open[a] = last_closed[closed] = v
     gate = [f | a for f, a in zip(field, after)]
     level_blocks = [blocks[c] for c in sorted(colors)]
     states = {(0, 0)}  # (fields of the placed vertices, adjacency fields)
@@ -377,7 +419,9 @@ def _automorphisms(adj: Sequence[int]) -> list[tuple[int, ...]]:
     of its refinement color whose adjacency to the images so far matches.
     """
     n = len(adj)
-    colors = _refine_colors(n, [list(bits_of(a)) for a in adj])
+    positions = _positions(n)
+    colors = _refine_colors(n, [positions[a] for a in adj])
+    cells = [[w for w in range(n) if colors[w] == c] for c in colors]
     found = []
     image = [0] * n
 
@@ -387,10 +431,10 @@ def _automorphisms(adj: Sequence[int]) -> list[tuple[int, ...]]:
             return
         # the images of v's neighbors among the vertices already mapped
         want = 0
-        for u in bits_of(adj[v] & ((1 << v) - 1)):
+        for u in positions[adj[v] & ((1 << v) - 1)]:
             want |= 1 << image[u]
-        for w in range(n):
-            if colors[w] == colors[v] and not used >> w & 1 and adj[w] & used == want:
+        for w in cells[v]:
+            if not used >> w & 1 and adj[w] & used == want:
                 image[v] = w
                 extend(v + 1, used | 1 << w)
 
@@ -402,21 +446,20 @@ def _orbit_minima(adj: Sequence[int]) -> list[int]:
     """The non-empty vertex subsets, as bitmasks, that are the least of their
     orbit under the automorphisms of the graph with neighbor bitmasks ``adj``."""
     n = len(adj)
-    images = [[1 << w for w in aut] for aut in _automorphisms(adj)]
-    if len(images) == 1:
+    # the first automorphism is the identity, which maps each set to itself
+    images = [[1 << w for w in aut] for aut in _automorphisms(adj)[1:]]
+    if not images:
         return list(range(1, 1 << n))
+    positions = _positions(n)
     seen = bytearray(1 << n)
     minima = []
     for s in range(1, 1 << n):
         if seen[s]:
             continue
         minima.append(s)
-        members = list(bits_of(s))
-        for bit in images:
-            t = 0
-            for u in members:
-                t |= bit[u]
-            seen[t] = 1
+        members = positions[s]
+        for bit in images:  # distinct bits, so their sum is their union
+            seen[sum(map(bit.__getitem__, members))] = 1
     return minima
 
 
@@ -427,38 +470,59 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
 
     Built by attaching a new vertex v with a non-empty neighborhood S to
     each class H on n-1 vertices, skipping the candidates where some other
-    vertex of degree below |S| is not a cut vertex. Every connected graph
-    still arises: it has a least-degree non-cut vertex, and removing that
-    vertex leaves a connected graph on n-1 vertices.
+    vertex with a smaller key is not a cut vertex. A vertex's key is its
+    degree, then the sum of its neighbors' degrees. Every connected graph
+    still arises: it has a non-cut vertex of least key, and removing that
+    vertex leaves a connected graph on n-1 vertices. The keys and the cut
+    vertices of H + v are read off H: u gains v as a neighbor when u is in
+    S, and is no cut vertex when S meets every component of H - u.
 
     Only the least S of each orbit under Aut(H) is tried. For an
     automorphism σ of H, H + v with N(v) = S and H + v with N(v) = σ(S) are
-    isomorphic under σ extended by v ↦ v. That isomorphism fixes v, so the
-    filter above gives both candidates the same answer.
+    isomorphic under σ extended by v ↦ v. That isomorphism fixes v, and the
+    key is an isomorphism invariant, so the filter above gives both
+    candidates the same answer.
     """
     if n == 1:
         return (0,)
     new = n - 1
-    everyone = (1 << n) - 1
+    everyone = (1 << new) - 1
+    positions = _positions(new)
     seen: set[int] = set()
     for hmask in _connected_class_masks(new):
         h_edges = _edges_of_mask(new, hmask)
         h_adj = _adjacency(new, h_edges)
+        h_deg = [a.bit_count() for a in h_adj]
+        h_sum = [sum(map(h_deg.__getitem__, positions[a])) for a in h_adj]
+        parts = []  # the components of H - u, for each u
+        for u in range(new):
+            rest, split = everyone & ~(1 << u), []
+            while rest:
+                split.append(_component(h_adj, rest))
+                rest ^= split[-1]
+            parts.append(split)
         for s in _orbit_minima(h_adj):
             degree = s.bit_count()
-            adj = [a | (s >> u & 1) << new for u, a in enumerate(h_adj)] + [s]
-            if any(adj[u].bit_count() < degree
-                   and _induces_connected(adj, everyone & ~(1 << u))
-                   for u in range(new)):
-                continue
-            seen.add(canonical_mask(n, h_edges + tuple((i, new) for i in bits_of(s))))
+            total = None  # v's sum of neighbor degrees, once a degree ties
+            for u in range(new):
+                inside = s >> u & 1
+                if h_deg[u] + inside > degree:
+                    continue
+                if h_deg[u] + inside == degree:
+                    if total is None:
+                        total = sum(map(h_deg.__getitem__, positions[s])) + degree
+                    if h_sum[u] + (h_adj[u] & s).bit_count() + inside * degree >= total:
+                        continue
+                if all(part & s for part in parts[u]):
+                    break
+            else:
+                seen.add(canonical_mask(n, h_edges + tuple((i, new) for i in positions[s])))
     return tuple(sorted(seen))
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    names = [f"v{i}" for i in range(1, n + 1)]
-    edges = [(names[i], names[j]) for i, j in _edges_of_mask(n, mask)]
-    return Graph(names, edges)
+    return Graph._unchecked(tuple(f"v{i}" for i in range(1, n + 1)),
+                            _edges_of_mask(n, mask))
 
 
 def enumerate_connected_graphs(n: int, dedup: bool = False,

@@ -177,7 +177,10 @@ def _families(k: int) -> tuple[int, ...]:
         unions = grown
     out = [sum(1 << p for p, m in enumerate(masks) if union[m] == m)
            for union in unions]
-    out.sort(key=lambda fam: (fam.bit_count(), tuple(bits_of(fam))))
+    # among equal bit counts, the lexicographically smaller tuple of
+    # positions has the larger value read with position 0 as the top bit
+    width = f"0{len(masks)}b"
+    out.sort(key=lambda fam: (fam.bit_count(), -int(format(fam, width)[::-1], 2)))
     return tuple(out)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -240,6 +241,21 @@ class TestCanonicalForm:
                         adj[j].append(i)
             assert graphs._refine_colors(n, adj) == one_color_refinement(n, adj)
 
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_int_signatures_match_one_color_refinement(self, n):
+        # the count fields are n.bit_length() bits wide, which grows at
+        # n = 8 and n = 16
+        rng = random.Random(n)
+        for _ in range(150):
+            density = rng.random()
+            adj = [[] for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        adj[i].append(j)
+                        adj[j].append(i)
+            assert graphs._refine_colors(n, adj) == one_color_refinement(n, adj)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_automorphisms_match_brute_force(self, n):
         for mask in graphs._connected_class_masks(n):
@@ -309,6 +325,37 @@ class TestEnumeration:
         classes = graphs._connected_class_masks(8)
         assert len(classes) == CONNECTED_CLASSES_8
         assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_8_SHA256
+
+    def test_canonical_mask_calls_in_the_class_build(self, monkeypatch):
+        # candidates pass the deletion filter only when no non-cut vertex
+        # has a smaller (degree, sum of neighbor degrees)
+        calls = Counter()
+        real = graphs.canonical_mask
+
+        def counted(n, edges):
+            calls[n] += 1
+            return real(n, edges)
+
+        monkeypatch.setattr(graphs, "canonical_mask", counted)
+        graphs._connected_class_masks.cache_clear()
+        for n in range(1, 8):
+            graphs._connected_class_masks(n)
+        assert calls == {2: 1, 3: 2, 4: 6, 5: 21, 6: 114, 7: 894}
+        assert sum(calls.values()) == 1038
+
+    def test_graphs_from_masks_equal_validated_graphs(self):
+        for n in range(1, 8):
+            names = [f"v{i}" for i in range(1, n + 1)]
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for mask in graphs._connected_class_masks(n):
+                g = graphs._graph_from_mask(n, mask)
+                h = Graph(names, [(names[i], names[j])
+                                  for k, (i, j) in enumerate(pairs) if mask >> k & 1])
+                assert g == h and hash(g) == hash(h)
+                assert g.neighbor_masks() == h.neighbor_masks()
+                assert g.degrees() == h.degrees()
+                assert g.canonical_key() == h.canonical_key() == (n, mask)
+                assert parse_graph(g.emit()) == g
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_labeled_mode_matches_graph_connectivity_filter(self, n):
