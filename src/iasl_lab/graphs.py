@@ -30,9 +30,9 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
-def _component(adj: Sequence[int], alive: int) -> int:
-    """The vertices of the bitmask ``alive`` that its lowest vertex reaches
-    inside it, given each vertex's neighbor bitmask."""
+def _induces_connected(adj: Sequence[int], alive: int) -> bool:
+    """Whether the vertices in the bitmask ``alive`` induce a connected graph,
+    given each vertex's neighbor bitmask."""
     seen = frontier = alive & -alive
     while frontier:
         reach = 0
@@ -42,13 +42,7 @@ def _component(adj: Sequence[int], alive: int) -> int:
             frontier ^= low
         frontier = reach & alive & ~seen
         seen |= frontier
-    return seen
-
-
-def _induces_connected(adj: Sequence[int], alive: int) -> bool:
-    """Whether the vertices in the bitmask ``alive`` induce a connected graph,
-    given each vertex's neighbor bitmask."""
-    return _component(adj, alive) == alive
+    return seen == alive
 
 
 @lru_cache(maxsize=None)
@@ -470,18 +464,20 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
 
     Built by attaching a new vertex v with a non-empty neighborhood S to
     each class H on n-1 vertices, skipping the candidates where some other
-    vertex with a smaller key is not a cut vertex. A vertex's key is its
-    degree, then the sum of its neighbors' degrees. Every connected graph
-    still arises: it has a non-cut vertex of least key, and removing that
-    vertex leaves a connected graph on n-1 vertices. The keys and the cut
-    vertices of H + v are read off H: u gains v as a neighbor when u is in
-    S, and is no cut vertex when S meets every component of H - u.
+    vertex u with a smaller key is no cut vertex of H and S ≠ {u}. A
+    vertex's key is its degree, then the sum of its neighbors' degrees; the
+    keys of H + v are read off H, u gaining v as a neighbor when u is in S.
+    Every connected graph still arises: it has a non-cut vertex of least
+    key, and removing that vertex leaves a connected graph on n-1 vertices.
+    Such a u is no cut vertex of H + v either, since H - u is connected and
+    v keeps a neighbor in it; so no candidate whose v is a non-cut vertex of
+    least key is skipped.
 
     Only the least S of each orbit under Aut(H) is tried. For an
     automorphism σ of H, H + v with N(v) = S and H + v with N(v) = σ(S) are
-    isomorphic under σ extended by v ↦ v. That isomorphism fixes v, and the
-    key is an isomorphism invariant, so the filter above gives both
-    candidates the same answer.
+    isomorphic under σ extended by v ↦ v. That isomorphism fixes v and maps
+    H onto itself, so the keys and the cut test above give both candidates
+    the same answer.
     """
     if n == 1:
         return (0,)
@@ -494,17 +490,12 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
         h_adj = _adjacency(new, h_edges)
         h_deg = [a.bit_count() for a in h_adj]
         h_sum = [sum(map(h_deg.__getitem__, positions[a])) for a in h_adj]
-        parts = []  # the components of H - u, for each u
-        for u in range(new):
-            rest, split = everyone & ~(1 << u), []
-            while rest:
-                split.append(_component(h_adj, rest))
-                rest ^= split[-1]
-            parts.append(split)
+        non_cut = [u for u in range(new)
+                   if _induces_connected(h_adj, everyone & ~(1 << u))]
         for s in _orbit_minima(h_adj):
             degree = s.bit_count()
             total = None  # v's sum of neighbor degrees, once a degree ties
-            for u in range(new):
+            for u in non_cut:
                 inside = s >> u & 1
                 if h_deg[u] + inside > degree:
                     continue
@@ -513,7 +504,7 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
                         total = sum(map(h_deg.__getitem__, positions[s])) + degree
                     if h_sum[u] + (h_adj[u] & s).bit_count() + inside * degree >= total:
                         continue
-                if all(part & s for part in parts[u]):
+                if s != 1 << u:
                     break
             else:
                 seen.add(canonical_mask(n, h_edges + tuple((i, new) for i in positions[s])))

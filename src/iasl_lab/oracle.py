@@ -121,27 +121,27 @@ class OracleScope:
         return ((g, x, st) for g, st in self.graphs() for x in self.ground_sets)
 
     def iasgl_solutions(self, g: Graph, x: GroundSet) -> tuple:
-        key = (g, x)
-        if key not in self._iasgl:
-            self._iasgl[key] = tuple(iter_iasgl_assignments(g, x))
-        return self._iasgl[key]
+        sols = self._iasgl.get((g, x))
+        if sols is None:
+            sols = self._iasgl[g, x] = tuple(iter_iasgl_assignments(g, x))
+        return sols
 
     def top_iasl_solutions(self, g: Graph, x: GroundSet) -> tuple:
-        key = (g, x)
-        if key not in self._top_iasl:
-            self._top_iasl[key] = tuple(
+        sols = self._top_iasl.get((g, x))
+        if sols is None:
+            sols = self._top_iasl[g, x] = tuple(
                 masks for _t, masks in iter_top_iasl_assignments(g, x))
-        return self._top_iasl[key]
+        return sols
 
     def top_iasgl_solutions(self, g: Graph, x: GroundSet) -> tuple:
         """The cached graceful solutions, filtered as in
         ``iter_top_iasgl_assignments``."""
-        key = (g, x)
-        if key not in self._top_iasgl:
-            self._top_iasgl[key] = tuple(
+        sols = self._top_iasgl.get((g, x))
+        if sols is None:
+            sols = self._top_iasgl[g, x] = tuple(
                 sol for sol in self.iasgl_solutions(g, x)
                 if closed_family(sol.values(), x.mask))
-        return self._top_iasgl[key]
+        return sols
 
     @staticmethod
     def labeling(x: GroundSet, sol: dict) -> Labeling:

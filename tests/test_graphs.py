@@ -319,12 +319,22 @@ class TestEnumeration:
     def test_filtered_build_matches_unfiltered(self, n):
         assert graphs._connected_class_masks(n) == tuple(sorted(unfiltered_class_masks(n)))
 
-    def test_class_count_on_eight_vertices(self):
+    def test_class_count_on_eight_vertices(self, monkeypatch):
         # past the enumeration cap, through the internal builder
         assert graphs.ENUMERATION_VERTEX_CAP == 7
+        calls = Counter()
+        real = graphs.canonical_mask
+
+        def counted(n, edges):
+            calls[n] += 1
+            return real(n, edges)
+
+        monkeypatch.setattr(graphs, "canonical_mask", counted)
+        graphs._connected_class_masks.cache_clear()
         classes = graphs._connected_class_masks(8)
         assert len(classes) == CONNECTED_CLASSES_8
         assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_8_SHA256
+        assert calls[8] == 12039
 
     def test_canonical_mask_calls_in_the_class_build(self, monkeypatch):
         # candidates pass the deletion filter only when no non-cut vertex
@@ -342,6 +352,22 @@ class TestEnumeration:
             graphs._connected_class_masks(n)
         assert calls == {2: 1, 3: 2, 4: 6, 5: 21, 6: 114, 7: 894}
         assert sum(calls.values()) == 1038
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_vertices_taken_as_non_cut_are_non_cut(self, n):
+        # the class build takes u as no cut vertex of H + v when u is none
+        # of H and S != {u}; check that on every class H and every S
+        everyone = (1 << n) - 1
+        for hmask in graphs._connected_class_masks(n):
+            h_edges = graphs._edges_of_mask(n, hmask)
+            h_adj = graphs._adjacency(n, h_edges)
+            non_cut = [u for u in range(n)
+                       if graphs._induces_connected(h_adj, everyone & ~(1 << u))]
+            for s in range(1, 1 << n):
+                edges = h_edges + tuple((i, n) for i in range(n) if s >> i & 1)
+                for u in non_cut:
+                    if s != 1 << u:
+                        assert connected_without(n + 1, edges, u)
 
     def test_graphs_from_masks_equal_validated_graphs(self):
         for n in range(1, 8):
@@ -420,6 +446,23 @@ def mask_connected(n, mask):
             if pi != pj:
                 parts = [p for p in parts if p not in (pi, pj)] + [pi | pj]
     return len(parts) <= 1
+
+
+def connected_without(n, edges, u):
+    """Whether the graph on n vertices with the index pairs ``edges`` stays
+    connected once vertex u is removed, by a search over neighbor sets."""
+    nbrs = {v: set() for v in range(n) if v != u}
+    for i, j in edges:
+        if u not in (i, j):
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    stack = list(nbrs)[:1]
+    seen = set(stack)
+    while stack:
+        for w in nbrs[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == len(nbrs)
 
 
 class TestConnectivity:

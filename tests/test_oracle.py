@@ -1,5 +1,7 @@
 """The theorem-checking suite: statuses, witnesses, and determinism."""
 
+from collections import Counter
+
 import pytest
 
 from iasl_lab import (GroundSet, ORACLE_CHECKS, OracleScope,
@@ -179,6 +181,18 @@ class TestScreenLookup:
 
 
 class TestSolutionCaches:
+    def test_each_core_runs_once_per_instance(self, monkeypatch):
+        from iasl_lab import oracle
+        runs = Counter()
+        for name in ("iter_iasgl_assignments", "iter_top_iasl_assignments"):
+            core = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda g, x, name=name, core=core:
+                                runs.update([(name, g, x)]) or core(g, x))
+        run_all(7, [X01, X012])
+        assert max(runs.values()) == 1
+        assert {name for name, _g, _x in runs} == {
+            "iter_iasgl_assignments", "iter_top_iasl_assignments"}
+
     def test_top_iasgl_filter_matches_the_search(self):
         scope = OracleScope(6, [X01, X012])
         for g, x in scope.pairs():
