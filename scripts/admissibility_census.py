@@ -14,10 +14,10 @@ import sys
 import time
 from collections import Counter
 
-from iasl_lab import (GroundSet, enumerate_connected_graphs, search_iasgl,
-                      search_top_iasgl, search_top_iasl, structure)
-from iasl_lab.cli import integer
+from iasl_lab import GroundSet, enumerate_connected_graphs, structure
+from iasl_lab.cli import DEFAULT_GROUND_SETS, integer
 from iasl_lab.graphs import ENUMERATION_VERTEX_CAP
+from iasl_lab.search import SEARCHES
 
 
 def census(max_vertices, ground_sets):
@@ -25,25 +25,19 @@ def census(max_vertices, ground_sets):
         print(f"\n=== ground set {x} ===")
         print(f"{'n':>2} {'classes':>8} {'iasgl':>6} {'top-iasl':>9} {'top-iasgl':>10}")
         totals = Counter()
-        hits = []
+        graceful = []
         for n in range(1, max_vertices + 1):
             counts = Counter()
             for g in enumerate_connected_graphs(n, dedup=True):
-                counts["classes"] += 1
-                if search_iasgl(g, x).found:
-                    counts["iasgl"] += 1
-                    hits.append((n, g, "iasgl"))
-                if search_top_iasl(g, x).found:
-                    counts["top_iasl"] += 1
-                if search_top_iasgl(g, x).found:
-                    counts["top_iasgl"] += 1
-                    hits.append((n, g, "top-iasgl"))
+                found = [mode for mode, search in SEARCHES.items() if search(g, x).found]
+                counts.update(["classes", *found])
+                if "iasgl" in found:
+                    graceful.append((n, g))
             totals.update(counts)
             print(f"{n:>2} {counts['classes']:>8} {counts['iasgl']:>6} "
                   f"{counts['top_iasl']:>9} {counts['top_iasgl']:>10}")
         print(f"   {totals['classes']:>8} {totals['iasgl']:>6} "
               f"{totals['top_iasl']:>9} {totals['top_iasgl']:>10}  (totals)")
-        graceful = [(n, g) for n, g, kind in hits if kind == "iasgl"]
         if graceful:
             print("graceful classes:")
             for n, g in graceful:
@@ -58,14 +52,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-vertices", type=integer, default=6)
     parser.add_argument("--ground-set", action="append", default=[],
-                        help="repeatable; defaults to {0,1} and {0,1,2}")
+                        help="repeatable; defaults to "
+                        + " and ".join(DEFAULT_GROUND_SETS))
     args = parser.parse_args(argv)
     try:
         if not 1 <= args.max_vertices <= ENUMERATION_VERTEX_CAP:
             raise ValueError(f"--max-vertices must be 1 to {ENUMERATION_VERTEX_CAP}, "
                              f"got {args.max_vertices}")
-        ground_sets = ([GroundSet.parse(s) for s in args.ground_set]
-                       or [GroundSet((0, 1)), GroundSet((0, 1, 2))])
+        ground_sets = [GroundSet.parse(s)
+                       for s in args.ground_set or DEFAULT_GROUND_SETS]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 from typing import Optional
 
 from .graphs import parse_graph
@@ -23,6 +24,7 @@ from .topology import (enumerate_topologies, parse_topology, realize_topology,
                        verify_top_iasgl, verify_top_iasl)
 
 SCHEMA = "iasl-lab/1"
+DEFAULT_GROUND_SETS = ("{0,1}", "{0,1,2}")
 
 _VERIFIERS = {
     "iasl": verify_iasl,
@@ -62,21 +64,16 @@ def _read(path: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    cls = args.cls
-    k = None
-    if cls.startswith("uniform:"):
-        k = integer(cls.split(":", 1)[1])
-        cls = "uniform"
-    elif cls == "uniform":
+    if args.cls.startswith("uniform:"):
+        verify = partial(verify_uniform, k=integer(args.cls.split(":", 1)[1]))
+    elif args.cls == "uniform":
         raise ValueError("uniform class needs a degree, e.g. --class uniform:2")
-    elif cls not in _VERIFIERS:
-        raise ValueError(f"unknown labeling class {args.cls!r}")
-    g = parse_graph(_read(args.graph))
-    f = parse_labeling(_read(args.labeling))
-    if cls == "uniform":
-        report = verify_uniform(g, f, k)
+    elif args.cls in _VERIFIERS:
+        verify = _VERIFIERS[args.cls]
     else:
-        report = _VERIFIERS[cls](g, f)
+        raise ValueError(f"unknown labeling class {args.cls!r}")
+    report = verify(parse_graph(_read(args.graph)),
+                    parse_labeling(_read(args.labeling)))
     if args.json:
         _emit_json({"command": "verify", "class": args.cls, **report.to_json()})
     else:
@@ -186,8 +183,7 @@ def _cmd_min_ground_set(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    ground_sets = [GroundSet.parse(s) for s in args.ground_set] \
-        if args.ground_set else [GroundSet((0, 1)), GroundSet((0, 1, 2))]
+    ground_sets = [GroundSet.parse(s) for s in args.ground_set or DEFAULT_GROUND_SETS]
     if args.ids == ["all"]:
         reports = run_all(args.max_vertices, ground_sets)
     else:
@@ -223,26 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="iasl | iasi | uniform:k | iasgl | top-iasl | top-iasgl")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("labeling", help="labeling file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("classify", help="sumset classification of a ground set")
     p.add_argument("ground", help="ground set literal, e.g. '{0,1,2}'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("search", help="search for a labeling of a graph")
     p.add_argument("--mode", required=True, help="iasgl | top-iasl | top-iasgl")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("ground", help="ground set literal")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("realize", help="realise a topology as a labeled star")
     p.add_argument("topology", help="topology file, one subset per line")
     p.add_argument("--out-graph", help="write the graph to this file")
     p.add_argument("--out-labeling", help="write the labeling to this file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_realize)
 
     p = sub.add_parser("enum-topologies", help="enumerate topologies on a ground set")
@@ -250,14 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-zero", action="store_true",
                    help="only topologies containing {0}")
     p.add_argument("--count", action="store_true", help="print only the count")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_enum_topologies)
 
     p = sub.add_parser("min-ground-set", help="smallest ground set admitting a labeling")
     p.add_argument("--mode", required=True, help="iasgl | top-iasl | top-iasgl")
     p.add_argument("--max-element", type=integer, default=6)
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_min_ground_set)
 
     p = sub.add_parser("oracle", help="run the theorem-checking suite")
@@ -265,10 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"'all' or any of: {', '.join(ORACLE_CHECKS)}")
     p.add_argument("--max-vertices", type=integer, default=6)
     p.add_argument("--ground-set", action="append", default=[],
-                   help="ground set literal (repeatable); default {0,1} and {0,1,2}")
-    p.add_argument("--json", action="store_true")
+                   help="ground set literal (repeatable); default "
+                        + " and ".join(DEFAULT_GROUND_SETS))
     p.set_defaults(fn=_cmd_oracle)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

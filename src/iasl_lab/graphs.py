@@ -171,34 +171,24 @@ def parse_graph(text: str) -> Graph:
     a comment, blank lines are ignored. Loops, duplicate edges and extra
     tokens are reported with their line number.
     """
-    order: list[str] = []
-    seen_vertices: set[str] = set()
+    vertices: dict[str, None] = {}
     seen_edges: set[tuple[str, str]] = set()
     edges: list[tuple[str, str]] = []
-
-    def declare(v: str) -> None:
-        if v not in seen_vertices:
-            seen_vertices.add(v)
-            order.append(v)
-
     for lineno, line in text_lines(text):
         tokens = line.split()
-        if len(tokens) == 1:
-            declare(tokens[0])
-        elif len(tokens) == 2:
+        if len(tokens) > 2:
+            raise GraphParseError(lineno, f"expected 1 or 2 tokens, got {len(tokens)}")
+        vertices.update(dict.fromkeys(tokens))
+        if len(tokens) == 2:
             u, w = tokens
             if u == w:
                 raise GraphParseError(lineno, f"loop at vertex {u!r}")
-            declare(u)
-            declare(w)
             key = (u, w) if u < w else (w, u)
             if key in seen_edges:
                 raise GraphParseError(lineno, f"duplicate edge {u!r} {w!r}")
             seen_edges.add(key)
             edges.append((u, w))
-        else:
-            raise GraphParseError(lineno, f"expected 1 or 2 tokens, got {len(tokens)}")
-    return Graph(order, edges)
+    return Graph(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -341,6 +331,7 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     edges = list(edges)
     if n <= 1:
         return 0
+    # one edge pass fills all three; reusing _adjacency slowed the n <= 7 class build
     adj: list[list[int]] = [[] for _ in range(n)]
     nbrs = [0] * n
     # vertex u's adjacency to the filled positions is the n-bit field at u*n

@@ -40,15 +40,14 @@ class Topology:
     opens: tuple
 
     @classmethod
-    def from_family(cls, family: Iterable[IntSet],
-                    ground: Optional[GroundSet] = None) -> "Topology":
-        """Build and validate; raises ValueError when the axioms fail."""
+    def from_family(cls, family: Iterable[IntSet]) -> "Topology":
+        """Build and validate on the union of the family, which must be one of
+        its opens; raises ValueError when the axioms fail."""
         members = {s.mask for s in family}
-        if ground is None:
-            union = 0
-            for m in members:
-                union |= m
-            ground = GroundSet(IntSet.from_mask(union))
+        union = 0
+        for m in members:
+            union |= m
+        ground = GroundSet(IntSet.from_mask(union))
         ordered = tuple(IntSet.from_mask(m)
                         for m in sorted(members, key=subset_sort_key))
         check = is_topology(ordered, ground)

@@ -69,6 +69,17 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--class", "rainbow", g, f)
         assert code == 2
 
+    @pytest.mark.parametrize("cls, message", [
+        ("rainbow", "unknown labeling class 'rainbow'"),
+        ("uniform", "uniform class needs a degree, e.g. --class uniform:2"),
+        ("uniform:x", "not an integer: 'x'"),
+    ])
+    def test_class_is_checked_before_any_file_is_read(self, capsys, tmp_path, cls,
+                                                       message):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, "verify", "--class", cls, missing, missing)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_parse_error_reports_line(self, capsys, tmp_path, k12):
         _, f = k12
         bad = tmp_path / "bad.txt"

@@ -136,6 +136,10 @@ class TestParse:
             parse_graph("a b c\n")
         assert err.value.line == 1
 
+    def test_vertices_keep_the_order_they_are_first_named(self):
+        g = parse_graph("c\nb a\n# d\nb c\ne\n")
+        assert g.vertices == ("c", "b", "a", "e")
+
     def test_emit_round_trip(self):
         for g in [path(4), cycle(5), star(3), parse_graph("a\nb c\n")]:
             assert parse_graph(g.emit()) == g
