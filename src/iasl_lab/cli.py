@@ -16,8 +16,8 @@ from typing import Optional
 
 from .graphs import parse_graph
 from .intsets import GroundSet, classify
-from .labelings import (parse_labeling, verify_iasgl, verify_iasi, verify_iasl,
-                        verify_uniform)
+from .labelings import (parse_labeling, uniformity_degree, verify_iasgl,
+                        verify_iasi, verify_iasl, verify_uniform)
 from .oracle import ORACLE_CHECKS, run_all, run_checks, suite_clean
 from .search import SEARCHES, minimal_ground_set
 from .topology import (enumerate_topologies, parse_topology, realize_topology,
@@ -65,7 +65,8 @@ def _read(path: str) -> str:
 
 def _cmd_verify(args) -> int:
     if args.cls.startswith("uniform:"):
-        verify = partial(verify_uniform, k=integer(args.cls.split(":", 1)[1]))
+        k = uniformity_degree(integer(args.cls.split(":", 1)[1]))
+        verify = partial(verify_uniform, k=k)
     elif args.cls == "uniform":
         raise ValueError("uniform class needs a degree, e.g. --class uniform:2")
     elif args.cls in _VERIFIERS:

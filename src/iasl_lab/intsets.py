@@ -139,9 +139,6 @@ class IntSet:
             raise ValueError("empty set has no maximal element")
         return self.mask.bit_length() - 1
 
-    def sort_key(self) -> tuple:
-        return subset_sort_key(self.mask)
-
     def __add__(self, other: "IntSet") -> "IntSet":
         return sumset(self, other)
 
@@ -167,7 +164,7 @@ class IntSet:
         return isinstance(other, IntSet) and self.mask == other.mask
 
     def __lt__(self, other: "IntSet") -> bool:
-        return self.sort_key() < other.sort_key()
+        return subset_sort_key(self.mask) < subset_sort_key(other.mask)
 
     def __hash__(self) -> int:
         return hash(self.mask)

@@ -37,9 +37,6 @@ class Labeling:
     ground: GroundSet
     assignment: dict
 
-    def label(self, v: str) -> IntSet:
-        return self.assignment[v]
-
     def emit(self) -> str:
         check_text_names(self.assignment)
         lines = [f"X {self.ground}"]
@@ -214,10 +211,16 @@ def verify_iasi(g: Graph, f: Labeling) -> VerificationReport:
     return _verify(g, f, _iasi_rule)
 
 
-def verify_uniform(g: Graph, f: Labeling, k: int) -> VerificationReport:
-    """Every edge label has exactly k elements."""
+def uniformity_degree(k: int) -> int:
+    """k itself when it is a valid uniformity degree, else ValueError."""
     if k < 1:
         raise ValueError("uniformity degree must be a positive integer")
+    return k
+
+
+def verify_uniform(g: Graph, f: Labeling, k: int) -> VerificationReport:
+    """Every edge label has exactly k elements."""
+    uniformity_degree(k)
 
     def uniform_rule(g: Graph, f: Labeling, edges: Optional[dict]) -> list:
         return [Violation("bad-edge-size", f"{u} {w}",

@@ -21,8 +21,7 @@ from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
 from .labelings import Labeling
 from . import search
 from .search import iter_iasgl_assignments, iter_top_iasl_assignments
-from .topology import (closed_family, enumerate_topologies,
-                       realize_topology, verify_top_iasl)
+from .topology import enumerate_topologies, realize_topology, verify_top_iasl
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,12 @@ class OracleScope:
         return sols
 
     def top_iasgl_solutions(self, g: Graph, x: GroundSet) -> tuple:
-        """The cached graceful solutions, filtered as in
-        ``iter_top_iasgl_assignments``."""
+        """``search.keep_topological`` over the cached graceful solutions:
+        the same dict objects in the same order, as T-treq relies on."""
         sols = self._top_iasgl.get((g, x))
         if sols is None:
             sols = self._top_iasgl[g, x] = tuple(
-                sol for sol in self.iasgl_solutions(g, x)
-                if closed_family(sol.values(), x.mask))
+                search.keep_topological(self.iasgl_solutions(g, x), x))
         return sols
 
     @staticmethod
@@ -375,12 +373,13 @@ def _judge_t_real(ctx, t):
 
 def _judge_t_treq(ctx, g, x, st):
     """For trees, graceful and topological-graceful existence coincide."""
-    a = bool(ctx.iasgl_solutions(g, x))
-    b = bool(ctx.top_iasgl_solutions(g, x))
+    sols = ctx.iasgl_solutions(g, x)
+    top = {id(sol) for sol in ctx.top_iasgl_solutions(g, x)}
+    a, b = bool(sols), bool(top)
     yield a == b or Witness(
         g, None, f"graceful={a} but topological-graceful={b} over X = {x}")
-    for sol in ctx.iasgl_solutions(g, x):
-        yield ("tree-iasgl-topological", closed_family(sol.values(), x.mask),
+    for sol in sols:
+        yield ("tree-iasgl-topological", id(sol) in top,
                partial(_solution_witness, ctx, g, x, sol))
 
 

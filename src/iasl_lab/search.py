@@ -361,21 +361,20 @@ def search_top_iasl(g: Graph, x: GroundSet) -> SearchOutcome:
     return _first_found(g, x, _top_iasl_masks, None)
 
 
+def keep_topological(assignments, x: GroundSet) -> Iterator[dict]:
+    """The assignments whose labels plus ∅ form a topology on X, unchanged."""
+    return (masks for masks in assignments if closed_family(masks.values(), x.mask))
+
+
 def iter_top_iasgl_assignments(g: Graph, x: GroundSet,
                                counter: Optional[list] = None) -> Iterator[dict]:
     """Set-graceful assignments whose vertex-label family plus ∅ is a topology."""
-    xmask = x.mask
-    for masks in iter_iasgl_assignments(g, x, counter):
-        if closed_family(masks.values(), xmask):
-            yield masks
+    yield from keep_topological(iter_iasgl_assignments(g, x, counter), x)
 
 
 def search_top_iasgl(g: Graph, x: GroundSet) -> SearchOutcome:
-    """First labeling that is both topological and set-graceful.
-
-    Equivalent to filtering the graceful search's solutions by the topology
-    axioms, so the two searches stay consistent by construction.
-    """
+    """First labeling that is both topological and set-graceful: the first
+    graceful solution ``keep_topological`` keeps, as in the oracle."""
     return _first_found(g, x, iter_top_iasgl_assignments, screen(g, x, "top_iasgl"))
 
 

@@ -73,6 +73,7 @@ class TestVerify:
         ("rainbow", "unknown labeling class 'rainbow'"),
         ("uniform", "uniform class needs a degree, e.g. --class uniform:2"),
         ("uniform:x", "not an integer: 'x'"),
+        ("uniform:0", "uniformity degree must be a positive integer"),
     ])
     def test_class_is_checked_before_any_file_is_read(self, capsys, tmp_path, cls,
                                                        message):

@@ -199,6 +199,27 @@ class TestSolutionCaches:
             assert scope.top_iasgl_solutions(g, x) == tuple(
                 iter_top_iasgl_assignments(g, x))
 
+    def test_top_iasgl_solutions_are_graceful_objects_in_order(self):
+        # T-treq reads "topological" off this tuple by identity
+        scope = OracleScope(7, [X01, X012])
+        for g, x in scope.pairs():
+            graceful = iter(scope.iasgl_solutions(g, x))
+            assert all(any(sol is top for sol in graceful)
+                       for top in scope.top_iasgl_solutions(g, x))
+
+    def test_each_graceful_solution_is_closure_checked_once(self, monkeypatch,
+                                                            capsys):
+        from iasl_lab import cli, oracle, search
+        checked = []
+        closed_family = search.closed_family
+        monkeypatch.setattr(search, "closed_family", lambda masks, xmask:
+                            checked.append(xmask) or closed_family(masks, xmask))
+        assert cli.main(["oracle", "all", "--max-vertices", "7", "--json"]) == 0
+        capsys.readouterr()
+        # one check per graceful solution in scope, all in search.keep_topological
+        assert len(checked) == 734
+        assert not hasattr(oracle, "closed_family")
+
 
 class TestWitnessesReverify:
     def test_p3_witnesses_are_real_labelings(self, reports):
