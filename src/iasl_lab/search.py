@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, permutations
+from math import perm
 from operator import le, or_
 from typing import Iterator, Optional
 
@@ -151,12 +152,6 @@ def _partner_bitsets(x: GroundSet) -> tuple[int, ...]:
                  for row in _sum_bits(x))
 
 
-# one entry per (X, family). The top-x4 benchmark asks 22,395 times for 297
-# keys, so the cache saves it about 0.13 s; minimal_ground_set(K6 + pendant,
-# "top_iasl") asks for 35,715 distinct keys and never hits, so the bound
-# keeps its memory flat. One ground set's whole topology table (6,942
-# families at |X| = 5) fits.
-@lru_cache(maxsize=1 << 13)
 def _capacities(x: GroundSet, family: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The capacities of the positions of ``family``, largest first, and for
     each degree d below the family's size the bitset of positions of
@@ -178,25 +173,90 @@ def _capacities(x: GroundSet, family: int) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(caps), tuple(accumulate(reversed(exact), or_))[::-1]
 
 
-def _domains(degrees: list[int], x: GroundSet, family: int,
-             zero_floor: int = 0) -> Optional[list[int]]:
-    """Each vertex's candidate bitset: the positions of ``family`` whose
-    capacity (``_capacities``) is at least the vertex's degree, without
-    position 0 ({0}) at vertices of degree below ``zero_floor``.
+def _fits(degrees: list[int], caps: tuple[int, ...]) -> bool:
+    """The capacity rule: the i-th largest degree needs i distinct positions
+    of at least that capacity, so it may not exceed the i-th largest capacity.
+    Both come largest first (``_search_order``, ``_capacities``)."""
+    return len(degrees) <= len(caps) and all(map(le, degrees, caps))
 
-    None when no injective labeling fits: a positive ``zero_floor`` needs {0}
-    on a vertex of at least that degree, and the i-th largest degree needs i
-    distinct positions of at least that capacity, so it may not exceed the
-    i-th largest capacity. ``degrees`` come largest first, as in
-    ``_search_order``.
-    """
-    if zero_floor and degrees[0] < zero_floor:
-        return None
-    caps, at_least = _capacities(x, family)
-    if len(degrees) > len(caps) or not all(map(le, degrees, caps)):
-        return None
+
+def _domains(degrees: list[int], at_least: tuple[int, ...],
+             zero_floor: int = 0) -> list[int]:
+    """Each vertex's candidate bitset: the positions whose capacity is at
+    least the vertex's degree (``at_least``, from ``_capacities``), without
+    position 0 ({0}) at vertices of degree below ``zero_floor``."""
     return [at_least[d] if d >= zero_floor else at_least[d] & ~1
             for d in degrees]
+
+
+# one table per (X, open count), filled as searches reach its families, so
+# _capacities runs once per (X, family) and keeps no cache of its own: with
+# these tables such a cache hit 0 of 297 calls in the top-x4 benchmark, 4 of
+# 35 in oracle-suite, 8 of 26 in min-ground-set and 0 of 35,715 in
+# minimal_ground_set(K6 + pendant, "top_iasl"). That search fills 46 tables
+# and reads none twice; the 16 kept hold 3.2 MB of rows, against 4.0 MB for
+# the 8,192 entries of the cache they replace. top-x4 reads its 6 tables 412
+# times, oracle-suite its 8 tables 414 times.
+@lru_cache(maxsize=16)
+def _profile_rows(x: GroundSet, k: int) -> tuple[list, dict]:
+    """The rows ``_fitting_families`` has computed for the families with k
+    non-empty opens, in table order, and the distinct capacity tuples among
+    them, numbered; shared by every search of (X, k)."""
+    return [], {}
+
+
+def _fitting_families(x: GroundSet, degrees: list[int]
+                      ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(family, at_least) from ``_capacities`` for each family with one
+    non-empty open per degree whose capacities hold the degrees
+    (``_fits``), in table order.
+
+    The rule is decided once per distinct capacity tuple (profile) of the
+    families. A family's row is computed when a search of (X, k) first
+    reaches it, so a first-found search computes none beyond its family.
+    """
+    k = len(degrees)
+    rows, profiles = _profile_rows(x, k)
+    fits = {}
+    for i, family in enumerate(_families_by_open_count(x.size).get(k, ())):
+        if i == len(rows):
+            caps, at_least = _capacities(x, family)
+            rows.append((profiles.setdefault(caps, (len(profiles), caps)), at_least))
+        (profile, caps), at_least = rows[i]
+        fit = fits.get(profile)
+        if fit is None:
+            fit = fits[profile] = _fits(degrees, caps)
+        if fit:
+            yield family, at_least
+
+
+def _twin_sequences(picks: list[int], start: int, allowed: int,
+                    counter: list) -> Iterator[list[int]]:
+    """Fill ``picks[start:]`` with each injective sequence of positions from
+    the bitset ``allowed``, in lexicographic order, and yield ``picks`` after
+    adding to ``counter[0]`` the nodes the loop of ``_assignments`` would
+    enter before it.
+
+    With m places and a candidates, a length-d prefix has P(a − d, m − d)
+    completions, so the loop enters a node at depth d before sequence j
+    exactly when that count divides j: all m before sequence 0. These counts
+    divide one another, so the depths that enter a node are the deepest ones.
+    With a < m there is no sequence, and the loop walks every prefix of up to
+    a places, Σₖ₌₁..ₐ P(a, k) nodes.
+    """
+    a = allowed.bit_count()
+    m = len(picks) - start
+    if a < m:
+        counter[0] += sum(perm(a, k) for k in range(1, a + 1))
+        return
+    spans = [perm(a - m + k, k) for k in range(m)]  # depth m − k
+    for j, seq in enumerate(permutations(bits_of(allowed), m)):
+        k = 1
+        while k < m and not j % spans[k]:
+            k += 1
+        counter[0] += k
+        picks[start:] = seq
+        yield picks
 
 
 def _assignments(earlier: list[list[int]], domains: list[int],
@@ -213,6 +273,13 @@ def _assignments(earlier: list[list[int]], domains: list[int],
     a choice also dies when more bits of ``missing`` are left uncovered by the
     edge labels ``sums[p][q]`` than the ``left[i]`` edges still undecided
     after vertex i.
+
+    Without ``cover``, the trailing run of vertices with the same earlier
+    neighbours and the same domain (pendant twins, which descending-degree
+    order puts last) is filled by ``_twin_sequences``: these vertices are
+    not adjacent, so each may take any candidate of the run's first vertex
+    that the others left, and the loop would walk exactly the injective
+    sequences of those candidates, in lexicographic order.
     """
     if counter is None:
         counter = [0]
@@ -222,9 +289,21 @@ def _assignments(earlier: list[list[int]], domains: list[int],
         yield picks
         return
     graceful = cover is not None
+    block = n  # the first vertex of the twin run, if it has two or more
     if graceful:
         sums, missing, left = cover
         uncovered = [missing] * (n + 1)
+    else:
+        last = set(earlier[-1])
+        start = n - 1
+        while start and domains[start - 1] == domains[-1] \
+                and set(earlier[start - 1]) == last:
+            start -= 1
+        if not start:
+            yield from _twin_sequences(picks, 0, domains[0], counter)
+            return
+        if start < n - 1:
+            block = start
     cand = [0] * n
     cand[0] = domains[0]
     used = 0
@@ -260,6 +339,11 @@ def _assignments(earlier: list[list[int]], domains: list[int],
         allowed = domains[i] & ~used
         for j in earlier[i]:
             allowed &= partners[picks[j]]
+        if i == block:
+            counter[0] += nodes
+            nodes = 0
+            yield from _twin_sequences(picks, block, allowed, counter)
+            allowed = 0
         cand[i] = allowed
     counter[0] += nodes
 
@@ -273,7 +357,7 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     P(X) - {∅, {0}}, or when fewer undecided edges remain than required
     labels still missing from the image. Injectivity rules out {0} + {0},
     so the partner bitsets alone decide which edge labels are acceptable,
-    and a vertex only takes subsets whose capacity (``_domains``) covers its
+    and a vertex only takes subsets whose capacity (``_capacities``) covers its
     degree, and {0} only when its degree reaches the zero-degree floor
     (``SumsetClassification.zero_degree_floor``).
     """
@@ -282,9 +366,14 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     everything = (1 << len(masks)) - 1
-    domains = _domains(degrees, x, everything, classify(x).zero_degree_floor)
-    if domains is None:
+    zero_floor = classify(x).zero_degree_floor
+    # a positive floor needs {0} on a vertex of at least that degree
+    if zero_floor and degrees[0] < zero_floor:
         return
+    caps, at_least = _capacities(x, everything)
+    if not _fits(degrees, caps):
+        return
+    domains = _domains(degrees, at_least, zero_floor)
     left = [g.m - decided for decided in accumulate(map(len, earlier))]
     # every non-empty subset but {0}, which is first in canonical order
     cover = (_sum_bits(x), everything ^ 1, left)
@@ -329,7 +418,7 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     the family table of their cardinality; a vertex's candidates are the
     unused opens of T whose capacity in T covers its degree and that are
     partners of every earlier neighbour's label. A topology whose capacities
-    cannot hold the degrees (``_domains``) is skipped without a node.
+    cannot hold the degrees (``_fitting_families``) is skipped without a node.
     """
     # the capacity rule and the table's open counts imply both, but only
     # once the topology table of |X| is built, which minimal_ground_set would
@@ -339,12 +428,10 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
-    for family in _families_by_open_count(x.size).get(len(order), ()):
-        domains = _domains(degrees, x, family)
-        if domains is None:
-            continue
+    for family, at_least in _fitting_families(x, degrees):
         t = None
-        for picks in _assignments(earlier, domains, partners, counter):
+        for picks in _assignments(earlier, _domains(degrees, at_least),
+                                  partners, counter):
             if t is None:
                 t = _topology(x, family)
             yield t, {order[v]: masks[p] for v, p in enumerate(picks)}

@@ -1,5 +1,6 @@
 """Backtracking searches, structural screens, and the smallest-ground-set scan."""
 
+import hashlib
 from itertools import accumulate, combinations, permutations
 from pathlib import Path
 
@@ -14,8 +15,10 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
-from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask
-from iasl_lab.search import _assignments, _partner_bitsets, _search_order
+from iasl_lab.intsets import ZERO_MASK, _sum_bits, bits_of, sumset_mask
+from iasl_lab.search import (_assignments, _capacities, _domains, _fits,
+                              _labels_fit, _partner_bitsets, _profile_rows,
+                              _search_order)
 from iasl_lab.topology import _families_by_open_count, _topology
 import iasl_lab.search as search
 from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
@@ -53,6 +56,70 @@ def unpruned_top_iasl_assignments(g, x, counter=None):
             if t is None:
                 t = _topology(x, family)
             yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
+
+
+def looped_assignments(earlier, domains, partners, counter):
+    """The shared core's loop without a coverage bound and without filling
+    the trailing twin run by permutation: every node is walked."""
+    n = len(earlier)
+    picks = [0] * n
+    if not n:
+        yield picks
+        return
+    cand = [0] * n
+    cand[0] = domains[0]
+    used = 0
+    i = 0
+    nodes = 0
+    while True:
+        c = cand[i]
+        if not c:
+            if i == 0:
+                break
+            i -= 1
+            used ^= 1 << picks[i]
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        picks[i] = low.bit_length() - 1
+        nodes += 1
+        if i == n - 1:
+            counter[0] += nodes
+            nodes = 0
+            yield picks
+            continue
+        used |= low
+        i += 1
+        allowed = domains[i] & ~used
+        for j in earlier[i]:
+            allowed &= partners[picks[j]]
+        cand[i] = allowed
+    counter[0] += nodes
+
+
+def looped_top_iasl_assignments(g, x, counter):
+    """``iter_top_iasl_assignments`` on ``looped_assignments``, with the
+    capacity rule decided for each family on its own."""
+    if not _labels_fit(g.n, x.size) or all(d >= 2 for d in g.degrees().values()):
+        return
+    order, earlier, degrees = _search_order(g)
+    masks = x.subset_masks()
+    for family in _families_by_open_count(x.size).get(g.n, ()):
+        caps, at_least = _capacities(x, family)
+        if not _fits(degrees, caps):
+            continue
+        t = _topology(x, family)
+        for picks in looped_assignments(earlier, _domains(degrees, at_least),
+                                        _partner_bitsets(x), counter):
+            yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
+
+
+def counted_stream(assignments, g, x):
+    """(topology, assignment, counter) at every yield, then the final counter."""
+    counter = [0]
+    for t, masks in assignments(g, x, counter):
+        yield t, masks, counter[0]
+    yield counter[0]
 
 
 def brute_force_iasgl_exists(g, x):
@@ -294,6 +361,144 @@ class TestTopIaslCore:
                                for u, w in g.edge_names()):
                             expected.append((t, f))
                 assert list(iter_top_iasl_assignments(g, x)) == expected
+
+
+class TestTwinRuns:
+    """The core fills the trailing run of pendant twins by permutation and
+    keeps the stream, node counts included, of the loop that walks it."""
+
+    # two hubs with three and two leaves: the twin run is the second hub's
+    # two leaves, not all five
+    TWO_HUBS = Graph(["h", "k", "a", "b", "c", "d", "e"],
+                     [("h", "k"), ("h", "a"), ("h", "b"), ("h", "c"),
+                      ("k", "d"), ("k", "e")])
+
+    @pytest.mark.parametrize("ground", [(0, 1, 3), (0, 2, 3, 5), (0, 1, 2, 3)],
+                             ids=lambda g: ",".join(map(str, g)))
+    def test_stream_matches_the_walked_loop(self, ground):
+        x = GroundSet(ground)
+        graphs = [star(6), self.TWO_HUBS]
+        for n in range(1, 7):
+            graphs.extend(enumerate_connected_graphs(n, dedup=True))
+        for g in graphs:
+            assert (list(counted_stream(iter_top_iasl_assignments, g, x))
+                    == list(counted_stream(looped_top_iasl_assignments, g, x)))
+
+    def test_two_hubs_fill_only_the_last_hub_leaves(self):
+        order, earlier, _degrees = _search_order(self.TWO_HUBS)
+        assert order == ["h", "k", "a", "b", "c", "d", "e"]
+        assert earlier[2:] == [[0], [0], [0], [1], [1]]
+        stream = list(counted_stream(iter_top_iasl_assignments, self.TWO_HUBS,
+                                     GroundSet((0, 1, 2, 3))))
+        assert (len(stream) - 1, stream[-1]) == (648, 4786)
+
+    # (found, nodes_explored) per mode of search.SEARCHES, the first top-IASL
+    # labeling in vertex order, and the yields, final counter and a digest of
+    # (opens, labels, counter) at every yield of iter_top_iasl_assignments;
+    # an edgeless graph's twin run starts at its first vertex
+    PINNED = {
+        ("K1", (0, 1)): (((False, 0), (True, 1), (False, 0)), (3,), 1, 1, "2e58a0e054f6ab07"),
+        ("K1", (0, 1, 2)): (((False, 0), (True, 1), (False, 0)), (7,), 1, 1, "241b5089234fb4d6"),
+        ("K1", (0, 1, 2, 3)): (((False, 0), (True, 1), (False, 0)), (15,), 1, 1, "2d711d223868c643"),
+        ("2K1", (0, 1)): (((False, 0), (True, 2), (False, 0)), (1, 3), 4, 8, "d717fab296d55ea1"),
+        ("2K1", (0, 1, 2)): (((False, 0), (True, 2), (False, 0)), (1, 7), 12, 24, "60ab858d298c54d6"),
+        ("2K1", (0, 1, 2, 3)): (((False, 0), (True, 2), (False, 0)), (1, 15), 28, 56, "e0ced766facab6c9"),
+        ("3K1", (0, 1)): (((False, 0), (True, 3), (False, 0)), (1, 2, 3), 6, 15, "379e6fab8b128416"),
+        ("3K1", (0, 1, 2)): (((False, 0), (True, 3), (False, 0)), (1, 3, 7), 54, 135, "8d1f7530ee766268"),
+        ("3K1", (0, 1, 2, 3)): (((False, 0), (True, 3), (False, 0)), (1, 3, 15), 258, 645, "f0547e9412102282"),
+        ("4K1", (0, 1)): (((False, 0), (False, 0), (False, 0)), None, 0, 0, "e3b0c44298fc1c14"),
+        ("4K1", (0, 1, 2)): (((False, 0), (True, 4), (False, 0)), (1, 2, 3, 7), 144, 384, "2f220b00b658a622"),
+        ("4K1", (0, 1, 2, 3)): (((False, 0), (True, 4), (False, 0)), (1, 2, 3, 15), 1440, 3840, "fb9415258a617b26"),
+        ("K2+K1", (0, 1)): (((False, 0), (True, 3), (False, 0)), (1, 2, 3), 4, 11, "517dea44d14b8e54"),
+        ("K2+K1", (0, 1, 2)): (((False, 0), (True, 3), (False, 0)), (1, 3, 7), 14, 39, "7d615963b639897f"),
+        ("K2+K1", (0, 1, 2, 3)): (((False, 0), (True, 3), (False, 0)), (1, 3, 15), 36, 101, "df8f154e5a3dc667"),
+        ("K2+2K1", (0, 1)): (((False, 0), (False, 0), (False, 0)), None, 0, 0, "e3b0c44298fc1c14"),
+        ("K2+2K1", (0, 1, 2)): (((False, 0), (True, 4), (False, 0)), (1, 2, 3, 7), 44, 124, "d95b4f70b75bc902"),
+        ("K2+2K1", (0, 1, 2, 3)): (((False, 0), (True, 4), (False, 0)), (1, 2, 3, 15), 256, 727, "f12aa4b43c66c376"),
+        ("K1,3+K2", (0, 1)): (((False, 0), (False, 0), (False, 0)), None, 0, 0, "e3b0c44298fc1c14"),
+        ("K1,3+K2", (0, 1, 2)): (((False, 0), (False, 0), (False, 0)), None, 0, 0, "e3b0c44298fc1c14"),
+        ("K1,3+K2", (0, 1, 2, 3)): (((False, 0), (True, 22), (False, 0)), (1, 2, 5, 15, 3, 7), 336, 5359, "571d5adfe4e0ad42"),
+    }
+    GRAPHS = {
+        "K1": Graph(["a"], []),
+        "2K1": Graph(["a", "b"], []),
+        "3K1": Graph(["a", "b", "c"], []),
+        "4K1": Graph(["a", "b", "c", "d"], []),
+        "K2+K1": Graph(["a", "b", "c"], [("a", "b")]),
+        "K2+2K1": Graph(["a", "b", "c", "d"], [("a", "b")]),
+        "K1,3+K2": Graph(["c", "l1", "l2", "l3", "u", "w"],
+                         [("c", "l1"), ("c", "l2"), ("c", "l3"), ("u", "w")]),
+    }
+
+    @pytest.mark.parametrize("name, ground", sorted(PINNED),
+                             ids=[f"{name}-{','.join(map(str, ground))}"
+                                  for name, ground in sorted(PINNED)])
+    def test_disconnected_graphs_are_pinned(self, name, ground):
+        g, x = self.GRAPHS[name], GroundSet(ground)
+        modes = tuple((out.found, out.nodes_explored)
+                      for out in (run(g, x) for run in search.SEARCHES.values()))
+        first = search_top_iasl(g, x)
+        labels = (tuple(first.labeling.assignment[v].mask for v in g.vertices)
+                  if first.found else None)
+        digest = hashlib.sha256()
+        yields = 0
+        counter = [0]
+        for t, masks in iter_top_iasl_assignments(g, x, counter):
+            digest.update(repr((t.open_masks, [masks[v] for v in g.vertices],
+                                counter[0])).encode())
+            yields += 1
+        assert (modes, labels, yields, counter[0],
+                digest.hexdigest()[:16]) == self.PINNED[name, ground]
+        assert (list(counted_stream(iter_top_iasl_assignments, g, x))
+                == list(counted_stream(looped_top_iasl_assignments, g, x)))
+
+    def test_top_x4_scope(self):
+        # the benchmark's top-x4 pass: every class with 2-7 vertices over
+        # {0,1,2,3}; K1,6 alone gives 19,440 labelings through 52,839 nodes
+        x = GroundSet((0, 1, 2, 3))
+        counter = [0]
+        labelings = sum(1 for n in range(2, 8)
+                        for g in enumerate_connected_graphs(n, dedup=True)
+                        for _ in iter_top_iasl_assignments(g, x, counter))
+        assert (labelings, counter[0]) == (35946, 170321)
+        counter = [0]
+        assert sum(1 for _ in iter_top_iasl_assignments(star(6), x, counter)) == 19440
+        assert counter[0] == 52839
+
+    def test_twin_run_is_walked_lazily(self):
+        # 14 leaves take the 14 opens left by the hub: listing their 14!
+        # orders first would not end
+        out = search_top_iasl(star(14), GroundSet((0, 1, 2, 3)))
+        assert out.found and out.nodes_explored == 15
+
+    def test_capacities_only_up_to_the_first_found_family(self, monkeypatch):
+        # a first-found search computes the capacities of the families up to
+        # its own, in table order, and of no later one; the spider over
+        # {0,2,3,5} finds its labeling in the 13th of 72 families
+        x4, x2 = GroundSet((0, 1, 2, 3)), GroundSet((0, 2, 3, 5))
+        spider = parse_graph("v1 v4\nv2 v5\nv3 v5\nv4 v5\n")
+        calls = []
+
+        def counted(x, family):
+            calls.append(family)
+            return _capacities(x, family)
+
+        monkeypatch.setattr(search, "_capacities", counted)
+        reached = []
+        for g, x in ((path(3), x4), (star(4), x4), (self.TWO_HUBS, x4),
+                     (spider, x2)):
+            _profile_rows.cache_clear()
+            calls.clear()
+            out = search_top_iasl(g, x)
+            assert out.found
+            opens = {s.mask for s in out.labeling.assignment.values()}
+            families = _families_by_open_count(x.size)[g.n]
+            found = next(i for i, f in enumerate(families)
+                         if {x.subset_masks()[p] for p in bits_of(f)} == opens)
+            assert calls == list(families[:found + 1])
+            reached.append((found, len(families)))
+        assert reached == [(0, 43), (0, 72), (0, 54), (12, 72)]
+        _profile_rows.cache_clear()
 
 
 class TestIasglCore:
