@@ -16,6 +16,7 @@ import time
 from iasl_lab import (complete, complete_bipartite, cycle, minimal_ground_set,
                       path, star)
 from iasl_lab.cli import integer
+from iasl_lab.search import SEARCHES
 
 
 def main(argv=None):
@@ -35,15 +36,16 @@ def main(argv=None):
         # the whole table before any output: the first search rejects a
         # bad --max-element before it does any work
         rows = [[name] + [minimal_ground_set(g, mode, element_bound=args.max_element)
-                          for mode in ("iasgl", "top_iasl", "top_iasgl")]
+                          for mode in SEARCHES]
                 for name, g in cases]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{'graph':<10} {'iasgl':<14} {'top-iasl':<14} {'top-iasgl':<14}")
+    print(f"{'graph':<10} " + " ".join(f"{mode.replace('_', '-'):<14}"
+                                       for mode in SEARCHES))
     for name, *grounds in rows:
         cells = [str(x) if x is not None else "-" for x in grounds]
-        print(f"{name:<10} {cells[0]:<14} {cells[1]:<14} {cells[2]:<14}")
+        print(f"{name:<10} " + " ".join(f"{cell:<14}" for cell in cells))
     print(f"\ntotal time: {time.perf_counter() - t0:.1f}s")
     return 0
 

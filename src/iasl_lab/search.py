@@ -189,44 +189,34 @@ def _domains(degrees: list[int], at_least: tuple[int, ...],
             for d in degrees]
 
 
-# one table per (X, open count), filled as searches reach its families, so
-# _capacities runs once per (X, family) and keeps no cache of its own: with
-# these tables such a cache hit 0 of 297 calls in the top-x4 benchmark, 4 of
-# 35 in oracle-suite, 8 of 26 in min-ground-set and 0 of 35,715 in
-# minimal_ground_set(K6 + pendant, "top_iasl"). That search fills 46 tables
-# and reads none twice; the 16 kept hold 3.2 MB of rows, against 4.0 MB for
-# the 8,192 entries of the cache they replace. top-x4 reads its 6 tables 412
-# times, oracle-suite its 8 tables 414 times.
+# one table per (X, open count), built whole and never changed, so searches
+# that build one at once (on two threads, say) each get a complete table.
+# 16 tables hold what the benchmark reads again: top-x4 reads its 6 tables
+# 412 times, oracle-suite its 8 tables 414 times and min-ground-set its 8
+# tables 11 times; minimal_ground_set(K6 + pendant, "top_iasl") builds 46,
+# reads none twice and keeps 16, which hold 3.5 MB.
 @lru_cache(maxsize=16)
-def _profile_rows(x: GroundSet, k: int) -> tuple[list, dict]:
-    """The rows ``_fitting_families`` has computed for the families with k
-    non-empty opens, in table order, and the distinct capacity tuples among
-    them, numbered; shared by every search of (X, k)."""
-    return [], {}
+def _capacity_table(x: GroundSet, k: int) -> tuple[tuple, tuple]:
+    """The distinct capacity tuples (profiles) of the families with k
+    non-empty opens, and (family, profile index, at_least) for each of
+    those families in table order (``_capacities``)."""
+    profiles = {}
+    rows = []
+    for family in _families_by_open_count(x.size).get(k, ()):
+        caps, at_least = _capacities(x, family)
+        rows.append((family, profiles.setdefault(caps, len(profiles)), at_least))
+    return tuple(profiles), tuple(rows)
 
 
 def _fitting_families(x: GroundSet, degrees: list[int]
                       ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(family, at_least) from ``_capacities`` for each family with one
     non-empty open per degree whose capacities hold the degrees
-    (``_fits``), in table order.
-
-    The rule is decided once per distinct capacity tuple (profile) of the
-    families. A family's row is computed when a search of (X, k) first
-    reaches it, so a first-found search computes none beyond its family.
-    """
-    k = len(degrees)
-    rows, profiles = _profile_rows(x, k)
-    fits = {}
-    for i, family in enumerate(_families_by_open_count(x.size).get(k, ())):
-        if i == len(rows):
-            caps, at_least = _capacities(x, family)
-            rows.append((profiles.setdefault(caps, (len(profiles), caps)), at_least))
-        (profile, caps), at_least = rows[i]
-        fit = fits.get(profile)
-        if fit is None:
-            fit = fits[profile] = _fits(degrees, caps)
-        if fit:
+    (``_fits``), in table order; the rule is decided once per profile."""
+    profiles, rows = _capacity_table(x, len(degrees))
+    fits = [_fits(degrees, caps) for caps in profiles]
+    for family, profile, at_least in rows:
+        if fits[profile]:
             yield family, at_least
 
 
@@ -276,10 +266,11 @@ def _assignments(earlier: list[list[int]], domains: list[int],
 
     Without ``cover``, the trailing run of vertices with the same earlier
     neighbours and the same domain (pendant twins, which descending-degree
-    order puts last) is filled by ``_twin_sequences``: these vertices are
-    not adjacent, so each may take any candidate of the run's first vertex
-    that the others left, and the loop would walk exactly the injective
-    sequences of those candidates, in lexicographic order.
+    order puts last), from vertex 1 on at the earliest, is filled by
+    ``_twin_sequences``: these vertices are not adjacent, so each may take
+    any candidate of the run's first vertex that the others left, and the
+    loop would walk exactly the injective sequences of those candidates, in
+    lexicographic order.
     """
     if counter is None:
         counter = [0]
@@ -296,12 +287,9 @@ def _assignments(earlier: list[list[int]], domains: list[int],
     else:
         last = set(earlier[-1])
         start = n - 1
-        while start and domains[start - 1] == domains[-1] \
+        while start > 1 and domains[start - 1] == domains[-1] \
                 and set(earlier[start - 1]) == last:
             start -= 1
-        if not start:
-            yield from _twin_sequences(picks, 0, domains[0], counter)
-            return
         if start < n - 1:
             block = start
     cand = [0] * n

@@ -1,6 +1,8 @@
 """Backtracking searches, structural screens, and the smallest-ground-set scan."""
 
 import hashlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate, combinations, permutations
 from pathlib import Path
 
@@ -15,10 +17,10 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
-from iasl_lab.intsets import ZERO_MASK, _sum_bits, bits_of, sumset_mask
-from iasl_lab.search import (_assignments, _capacities, _domains, _fits,
-                              _labels_fit, _partner_bitsets, _profile_rows,
-                              _search_order)
+from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask
+from iasl_lab.search import (_assignments, _capacities, _capacity_table,
+                              _domains, _fits, _fitting_families, _labels_fit,
+                              _partner_bitsets, _search_order)
 from iasl_lab.topology import _families_by_open_count, _topology
 import iasl_lab.search as search
 from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
@@ -395,7 +397,7 @@ class TestTwinRuns:
     # (found, nodes_explored) per mode of search.SEARCHES, the first top-IASL
     # labeling in vertex order, and the yields, final counter and a digest of
     # (opens, labels, counter) at every yield of iter_top_iasl_assignments;
-    # an edgeless graph's twin run starts at its first vertex
+    # the loop places an edgeless graph's first vertex, the fill the rest
     PINNED = {
         ("K1", (0, 1)): (((False, 0), (True, 1), (False, 0)), (3,), 1, 1, "2e58a0e054f6ab07"),
         ("K1", (0, 1, 2)): (((False, 0), (True, 1), (False, 0)), (7,), 1, 1, "241b5089234fb4d6"),
@@ -471,34 +473,38 @@ class TestTwinRuns:
         out = search_top_iasl(star(14), GroundSet((0, 1, 2, 3)))
         assert out.found and out.nodes_explored == 15
 
-    def test_capacities_only_up_to_the_first_found_family(self, monkeypatch):
-        # a first-found search computes the capacities of the families up to
-        # its own, in table order, and of no later one; the spider over
-        # {0,2,3,5} finds its labeling in the 13th of 72 families
-        x4, x2 = GroundSet((0, 1, 2, 3)), GroundSet((0, 2, 3, 5))
-        spider = parse_graph("v1 v4\nv2 v5\nv3 v5\nv4 v5\n")
-        calls = []
+    def test_concurrent_searches_share_one_table(self, monkeypatch):
+        # two threads that build the (X, 6) table at once, each waiting for
+        # the other at its first two capacity calls, both get the whole
+        # stream, and so does a later search that reads the cached table
+        x = GroundSet((0, 1, 2, 3))
+        g = star(5)
 
-        def counted(x, family):
-            calls.append(family)
+        def stream():
+            return [(t.open_masks, [masks[v] for v in g.vertices])
+                    for t, masks in iter_top_iasl_assignments(g, x)]
+
+        _capacity_table.cache_clear()
+        reference = stream()
+        barrier = threading.Barrier(2, timeout=10)
+        local = threading.local()
+
+        def meeting(x, family):
+            local.calls = getattr(local, "calls", 0) + 1
+            if local.calls <= 2:
+                barrier.wait()
             return _capacities(x, family)
 
-        monkeypatch.setattr(search, "_capacities", counted)
-        reached = []
-        for g, x in ((path(3), x4), (star(4), x4), (self.TWO_HUBS, x4),
-                     (spider, x2)):
-            _profile_rows.cache_clear()
-            calls.clear()
-            out = search_top_iasl(g, x)
-            assert out.found
-            opens = {s.mask for s in out.labeling.assignment.values()}
-            families = _families_by_open_count(x.size)[g.n]
-            found = next(i for i, f in enumerate(families)
-                         if {x.subset_masks()[p] for p in bits_of(f)} == opens)
-            assert calls == list(families[:found + 1])
-            reached.append((found, len(families)))
-        assert reached == [(0, 43), (0, 72), (0, 54), (12, 72)]
-        _profile_rows.cache_clear()
+        monkeypatch.setattr(search, "_capacities", meeting)
+        _capacity_table.cache_clear()
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(stream) for _ in range(2)]
+                streams = [f.result(timeout=60) for f in futures]
+            assert streams == [reference, reference]
+            assert stream() == reference
+        finally:
+            _capacity_table.cache_clear()
 
 
 class TestIasglCore:
@@ -597,6 +603,20 @@ class TestCapacityRule:
                         per_topology[t] = self.capacities(set(masks.values()), x)
                     cap = per_topology[t]
                     assert all(degrees[v] <= cap[a] for v, a in masks.items())
+
+    def test_fitting_families_are_the_families_that_fit(self):
+        # the families of the open count whose own capacities hold the
+        # degrees, each with its own at_least, in table order, for every
+        # degree sequence of the connected classes with 2-7 vertices
+        sequences = {tuple(_search_order(g)[2]) for n in range(2, 8)
+                     for g in enumerate_connected_graphs(n, dedup=True)}
+        for x in self.GROUNDS:
+            table = _families_by_open_count(x.size)
+            for degrees in map(list, sorted(sequences)):
+                fitting = [(f, _capacities(x, f)[1])
+                           for f in table.get(len(degrees), ())
+                           if _fits(degrees, _capacities(x, f)[0])]
+                assert list(_fitting_families(x, degrees)) == fitting
 
     def test_deep_graphs_have_no_graceful_labeling_unpruned(self):
         x = GroundSet(range(5))
