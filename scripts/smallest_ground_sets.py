@@ -46,7 +46,7 @@ def main(argv=None):
     for name, *grounds in rows:
         cells = [str(x) if x is not None else "-" for x in grounds]
         print(f"{name:<10} " + " ".join(f"{cell:<14}" for cell in cells))
-    print(f"\ntotal time: {time.perf_counter() - t0:.1f}s")
+    print(f"\ntotal time: {(time.perf_counter() - t0) * 1e3:.1f} ms")
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_MAX_ELEMENT = 63
@@ -278,6 +279,22 @@ def table_key(elements: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
     index = {e: k for k, e in enumerate(elements)}
     return tuple((i, j, index[a + b]) for i, a in enumerate(elements)
                  for j, b in enumerate(elements[i:], i) if a + b in index)
+
+
+@lru_cache(maxsize=None)
+def _table_representatives(size: int, element_bound: int) -> tuple[GroundSet, ...]:
+    """One ground set per sumset table (``table_key``) among the
+    ``size``-element ground sets that contain 0 and draw their other elements
+    from 1..element_bound: the first of each table when they are sorted by max
+    element, then lexicographically. Built whole and never mutated, so
+    concurrent callers share it."""
+    candidates = sorted(((0,) + rest for rest in
+                         combinations(range(1, element_bound + 1), size - 1)),
+                        key=lambda c: (c[-1], c))
+    first = {}
+    for cand in candidates:
+        first.setdefault(table_key(cand), cand)
+    return tuple(map(GroundSet, first.values()))
 
 
 def summand_decompositions(c: IntSet, x: GroundSet) -> list[tuple[IntSet, IntSet]]:

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, permutations
 from math import perm
 from operator import le, or_
 from typing import Iterator, Optional
 
 from .graphs import Graph
 from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
-                      SumsetClassification, _sum_bits, bits_of, classify,
-                      table_key)
+                      SumsetClassification, _sum_bits, _table_representatives,
+                      bits_of, classify)
 from .labelings import Labeling
 # the searches never call enumerate_topologies; the import stays because
 # perfbench/tracer.py instruments search.enumerate_topologies
@@ -463,9 +463,10 @@ def minimal_ground_set(g: Graph, mode: str,
     for which g admits a labeling of the requested class.
 
     Candidates contain 0 and draw their other elements from 1..element_bound.
-    Returns None when every candidate within the caps fails. A candidate
-    whose sumset table (``table_key``) has already failed is skipped: the
-    searches read X only through that table and |X|, so it would fail again.
+    Returns None when every candidate within the caps fails. Each size walks
+    ``intsets._table_representatives``, the first candidate of each sumset
+    table: the searches read X only through that table and |X|, so a later
+    candidate of a table would repeat the verdict of its first one.
     """
     if mode not in SEARCHES:
         raise ValueError(f"mode must be one of {tuple(SEARCHES)}, got {mode!r}")
@@ -473,22 +474,13 @@ def minimal_ground_set(g: Graph, mode: str,
         raise ValueError(f"element bound must be non-negative, got {element_bound}")
     if element_bound > 10:
         raise ValueError("element bound capped at 10")
-    pool = range(1, element_bound + 1)
-    failed = set()
     for size in range(1, DEFAULT_GROUND_CAP + 1):
         # graceful labelings pin the edge count to 2^|X| - 2, so skip sizes
         # that cannot match
         if not _labels_fit(g.n, size) or (mode != "top_iasl"
                                           and g.m != (1 << size) - 2):
             continue
-        candidates = [(0,) + combo for combo in combinations(pool, size - 1)]
-        candidates.sort(key=lambda c: (c[-1], c))
-        for cand in candidates:
-            key = table_key(cand)
-            if key in failed:
-                continue
-            x = GroundSet(cand)
+        for x in _table_representatives(size, element_bound):
             if SEARCHES[mode](g, x).found:
                 return x
-            failed.add(key)
     return None

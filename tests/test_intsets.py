@@ -12,7 +12,7 @@ from iasl_lab import (EnumerationInfeasible, GroundSet, IntSet,
                       all_nonempty_subsets, classify, summand_decompositions,
                       sumset)
 from iasl_lab.cli import main
-from iasl_lab.intsets import _sum_bits, table_key
+from iasl_lab.intsets import _sum_bits, _table_representatives, table_key
 
 # SHA-256 over `classify --json` and every subset's summand decompositions,
 # for X = {0} plus up to four elements of 1..7 (see test_outputs_are_pinned)
@@ -310,6 +310,28 @@ class TestTableKey:
             classes[size] = len(pairs)
         assert grounds == 386
         assert classes == {1: 1, 2: 1, 3: 2, 4: 7, 5: 37}
+
+    @pytest.mark.parametrize("bound, counts", [(0, (1, 0, 0, 0, 0)),
+                                               (6, (1, 1, 2, 7, 13)),
+                                               (10, (1, 1, 2, 7, 37))])
+    def test_one_representative_per_table(self, bound, counts):
+        # in (max element, lex) order, each candidate's table has a
+        # representative no later than the candidate, and no two
+        # representatives share a table: so each is its table's first
+        def order(elems):
+            return elems[-1], elems
+
+        for size, count in zip(range(1, 6), counts):
+            reps = _table_representatives(size, bound)
+            assert isinstance(reps, tuple) and len(reps) == count
+            assert len({_sum_bits(x) for x in reps}) == count
+            rep_elems = [x.elements for x in reps]
+            assert rep_elems == sorted(rep_elems, key=order)
+            by_key = {table_key(elems): elems for elems in rep_elems}
+            for rest in combinations(range(1, bound + 1), size - 1):
+                cand = (0,) + rest
+                assert order(by_key[table_key(cand)]) <= order(cand)
+        assert [str(x) for x in _table_representatives(1, 0)] == ["{0}"]
 
     def test_triples(self):
         assert table_key((0,)) == ((0, 0, 0),)

@@ -17,7 +17,7 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
-from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask
+from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask, table_key
 from iasl_lab.search import (_assignments, _capacities, _capacity_table,
                               _domains, _fits, _fitting_families, _labels_fit,
                               _partner_bitsets, _search_order)
@@ -836,6 +836,44 @@ class TestMinimalGroundSet:
         monkeypatch.setitem(search.SEARCHES, "top_iasl", counted)
         assert minimal_ground_set(g, "top_iasl") is None
         assert len(calls) == len({_sum_bits(x) for x in calls}) == 46
+
+    def test_same_searches_in_the_same_order(self, monkeypatch):
+        # the ground sets each search is handed, against a copy of the loop
+        # that sorts every size's candidates per call and skips a candidate
+        # whose table_key has already failed
+        def per_call_skip(g, mode, bound, find):
+            searched, failed = [], set()
+            for size in range(1, DEFAULT_GROUND_CAP + 1):
+                if not _labels_fit(g.n, size) or (mode != "top_iasl"
+                                                  and g.m != (1 << size) - 2):
+                    continue
+                candidates = sorted(((0,) + rest for rest in
+                                     combinations(range(1, bound + 1), size - 1)),
+                                    key=lambda c: (c[-1], c))
+                for cand in candidates:
+                    key = table_key(cand)
+                    if key in failed:
+                        continue
+                    searched.append(GroundSet(cand))
+                    if find(g, searched[-1]).found:
+                        return searched
+                    failed.add(key)
+            return searched
+
+        searched = []
+        finds = dict(search.SEARCHES)
+        for mode, find in finds.items():
+            def recorded(g, x, find=find):
+                searched.append(x)
+                return find(g, x)
+            monkeypatch.setitem(search.SEARCHES, mode, recorded)
+        for bound in (0, 1, 3, 6, 10):
+            for g in TABULATED_GRAPHS:
+                for mode, find in finds.items():
+                    searched.clear()
+                    minimal_ground_set(g, mode, bound)
+                    assert searched == per_call_skip(g, mode, bound, find), (
+                        bound, mode, g.edge_names())
 
     def test_small_star(self):
         assert str(minimal_ground_set(star(2), "iasgl")) == "{0,1}"
