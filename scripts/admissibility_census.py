@@ -66,7 +66,7 @@ def main(argv=None):
         return 2
     t0 = time.perf_counter()
     census(args.max_vertices, ground_sets)
-    print(f"\ntotal time: {time.perf_counter() - t0:.1f}s")
+    print(f"\ntotal time: {(time.perf_counter() - t0) * 1e3:.1f} ms")
     return 0
 
 

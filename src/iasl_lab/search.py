@@ -181,12 +181,25 @@ def _fits(degrees: list[int], caps: tuple[int, ...]) -> bool:
 
 
 def _domains(degrees: list[int], at_least: tuple[int, ...],
-             zero_floor: int = 0) -> list[int]:
+             holds: list[int], zero_floor: int) -> list[int]:
     """Each vertex's candidate bitset: the positions whose capacity is at
     least the vertex's degree (``at_least``, from ``_capacities``), without
-    position 0 ({0}) at vertices of degree below ``zero_floor``."""
-    return [at_least[d] if d >= zero_floor else at_least[d] & ~1
-            for d in degrees]
+    position 0 ({0}) at vertices whose entry of ``holds`` is below
+    ``zero_floor``. The graceful core passes the degrees and the zero-degree
+    floor, the topological core the pendant neighbours and the max-open
+    pendant floor (``_pendant_neighbours``)."""
+    return [at_least[d] if h >= zero_floor else at_least[d] & ~1
+            for d, h in zip(degrees, holds)]
+
+
+def _pendant_neighbours(earlier: list[list[int]], degrees: list[int]) -> list[int]:
+    """The number of pendant neighbours of each vertex, in ``_search_order``."""
+    counts = [0] * len(degrees)
+    for j, before in enumerate(earlier):
+        for i in before:
+            counts[i] += degrees[j] == 1
+            counts[j] += degrees[i] == 1
+    return counts
 
 
 # one table per (X, open count), built whole and never changed, so searches
@@ -198,26 +211,30 @@ def _domains(degrees: list[int], at_least: tuple[int, ...],
 @lru_cache(maxsize=16)
 def _capacity_table(x: GroundSet, k: int) -> tuple[tuple, tuple]:
     """The distinct capacity tuples (profiles) of the families with k
-    non-empty opens, and (family, profile index, at_least) for each of
-    those families in table order (``_capacities``)."""
+    non-empty opens, and (family, profile index, at_least, reach) for each
+    of those families in table order (``_capacities``); reach is the number
+    of the family's opens that hold max(X)."""
+    top = x.max_element
+    tops = sum(1 << p for p, m in enumerate(x.subset_masks()) if m >> top & 1)
     profiles = {}
     rows = []
     for family in _families_by_open_count(x.size).get(k, ()):
         caps, at_least = _capacities(x, family)
-        rows.append((family, profiles.setdefault(caps, len(profiles)), at_least))
+        rows.append((family, profiles.setdefault(caps, len(profiles)), at_least,
+                     (family & tops).bit_count()))
     return tuple(profiles), tuple(rows)
 
 
 def _fitting_families(x: GroundSet, degrees: list[int]
-                      ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(family, at_least) from ``_capacities`` for each family with one
-    non-empty open per degree whose capacities hold the degrees
+                      ) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(family, at_least, reach) from ``_capacity_table`` for each family
+    with one non-empty open per degree whose capacities hold the degrees
     (``_fits``), in table order; the rule is decided once per profile."""
     profiles, rows = _capacity_table(x, len(degrees))
     fits = [_fits(degrees, caps) for caps in profiles]
-    for family, profile, at_least in rows:
+    for family, profile, at_least, reach in rows:
         if fits[profile]:
-            yield family, at_least
+            yield family, at_least, reach
 
 
 def _twin_sequences(picks: list[int], start: int, allowed: int,
@@ -361,7 +378,7 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     caps, at_least = _capacities(x, everything)
     if not _fits(degrees, caps):
         return
-    domains = _domains(degrees, at_least, zero_floor)
+    domains = _domains(degrees, at_least, degrees, zero_floor)
     left = [g.m - decided for decided in accumulate(map(len, earlier))]
     # every non-empty subset but {0}, which is first in canonical order
     cover = (_sum_bits(x), everything ^ 1, left)
@@ -407,6 +424,13 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     unused opens of T whose capacity in T covers its degree and that are
     partners of every earlier neighbour's label. A topology whose capacities
     cannot hold the degrees (``_fitting_families``) is skipped without a node.
+
+    The max-open pendant floor, for graphs without an isolated vertex: the
+    vertex labeled X has a neighbour, labeled {0} as X + B ⊆ X forces
+    B = {0}, and each of the r(T) opens that hold max(X) has the one partner
+    {0}, so it labels a pendant of the {0}-vertex. {0} goes only to vertices
+    with at least r(T) pendant neighbours (``_domains``), and a topology
+    where no vertex has that many is skipped without a node.
     """
     # the capacity rule and the table's open counts imply both, but only
     # once the topology table of |X| is built, which minimal_ground_set would
@@ -416,9 +440,17 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
-    for family, at_least in _fitting_families(x, degrees):
+    pendants = _pendant_neighbours(earlier, degrees)
+    most = max(pendants)
+    # an isolated vertex may carry X or an open that holds max(X)
+    floored = degrees[-1] >= 1
+    for family, at_least, reach in _fitting_families(x, degrees):
+        floor = reach if floored else 0
+        if floor > most:
+            continue
         t = None
-        for picks in _assignments(earlier, _domains(degrees, at_least),
+        for picks in _assignments(earlier, _domains(degrees, at_least,
+                                                    pendants, floor),
                                   partners, counter):
             if t is None:
                 t = _topology(x, family)

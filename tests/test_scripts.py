@@ -1,6 +1,7 @@
 """The experiment scripts: integer options, bounds and exit codes."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,7 @@ class TestCensus:
                              "          4      1         3          1  (totals)",
                              "graceful classes:",
                              "  n=3: star, degrees [2, 1, 1]"]
+        assert re.fullmatch(r"total time: \d+\.\d ms", rows[-1])
 
 
 class TestSmallestGroundSets:
@@ -95,3 +97,4 @@ class TestSmallestGroundSets:
         assert len(rows) == 17
         assert rows[5].split() == ["K_(1,14)", "{0,1,2,3}", "{0,1,2,3}", "{0,1,2,3}"]
         assert rows[9].split() == ["P_5", "-", "{0,1,2,3}", "-"]
+        assert re.fullmatch(r"total time: \d+\.\d ms", rows[-1])

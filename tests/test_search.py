@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate, combinations, permutations
 from pathlib import Path
@@ -20,7 +21,8 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
 from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask, table_key
 from iasl_lab.search import (_assignments, _capacities, _capacity_table,
                               _domains, _fits, _fitting_families, _labels_fit,
-                              _partner_bitsets, _search_order)
+                              _partner_bitsets, _pendant_neighbours,
+                              _search_order)
 from iasl_lab.topology import _families_by_open_count, _topology
 import iasl_lab.search as search
 from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
@@ -99,21 +101,41 @@ def looped_assignments(earlier, domains, partners, counter):
     counter[0] += nodes
 
 
-def looped_top_iasl_assignments(g, x, counter):
+def max_opens(x, family):
+    """The number of opens of ``family`` that hold max(X)."""
+    masks = x.subset_masks()
+    return sum(1 for p in range(len(masks))
+               if family >> p & 1 and masks[p] >> x.max_element & 1)
+
+
+def looped_top_iasl_assignments(g, x, counter, floored=True):
     """``iter_top_iasl_assignments`` on ``looped_assignments``, with the
-    capacity rule decided for each family on its own."""
+    capacity rule and the max-open pendant floor decided for each family on
+    its own; with ``floored=False``, the capacity rule alone."""
     if not _labels_fit(g.n, x.size) or all(d >= 2 for d in g.degrees().values()):
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
+    pendants = _pendant_neighbours(earlier, degrees)
     for family in _families_by_open_count(x.size).get(g.n, ()):
         caps, at_least = _capacities(x, family)
         if not _fits(degrees, caps):
             continue
+        domains = [at_least[d] for d in degrees]
+        if floored and degrees[-1]:
+            floor = max_opens(x, family)
+            if floor > max(pendants):
+                continue
+            domains = _domains(degrees, at_least, pendants, floor)
         t = _topology(x, family)
-        for picks in looped_assignments(earlier, _domains(degrees, at_least),
-                                        _partner_bitsets(x), counter):
+        for picks in looped_assignments(earlier, domains, _partner_bitsets(x),
+                                        counter):
             yield t, {order[v]: masks[p] for v, p in enumerate(picks)}
+
+
+def unfloored_top_iasl_assignments(g, x, counter):
+    """``looped_top_iasl_assignments`` without the max-open pendant floor."""
+    return looped_top_iasl_assignments(g, x, counter, floored=False)
 
 
 def counted_stream(assignments, g, x):
@@ -323,9 +345,10 @@ class TestSearchTopIasl:
 class TestTopIaslCore:
     # (nodes, solutions) of every top-IASL labeling of the connected graphs
     # with at most six vertices; without the capacity rule the core walked
-    # 3457, 2987 and 188313 nodes for the same solutions
-    TOTALS = {(0, 1, 2): (446, 145), (0, 1, 3): (328, 123),
-              (0, 2, 3, 5): (9707, 3403)}
+    # 3457, 2987 and 188313 nodes for the same solutions, and without the
+    # max-open pendant floor 446, 328 and 9707
+    TOTALS = {(0, 1, 2): (406, 145), (0, 1, 3): (328, 123),
+              (0, 2, 3, 5): (9643, 3403)}
 
     @pytest.mark.parametrize("ground", sorted(TOTALS),
                              ids=lambda g: ",".join(map(str, g)))
@@ -392,7 +415,7 @@ class TestTwinRuns:
         assert earlier[2:] == [[0], [0], [0], [1], [1]]
         stream = list(counted_stream(iter_top_iasl_assignments, self.TWO_HUBS,
                                      GroundSet((0, 1, 2, 3))))
-        assert (len(stream) - 1, stream[-1]) == (648, 4786)
+        assert (len(stream) - 1, stream[-1]) == (648, 4522)
 
     # (found, nodes_explored) per mode of search.SEARCHES, the first top-IASL
     # labeling in vertex order, and the yields, final counter and a digest of
@@ -419,7 +442,7 @@ class TestTwinRuns:
         ("K2+2K1", (0, 1, 2, 3)): (((False, 0), (True, 4), (False, 0)), (1, 2, 3, 15), 256, 727, "f12aa4b43c66c376"),
         ("K1,3+K2", (0, 1)): (((False, 0), (False, 0), (False, 0)), None, 0, 0, "e3b0c44298fc1c14"),
         ("K1,3+K2", (0, 1, 2)): (((False, 0), (False, 0), (False, 0)), None, 0, 0, "e3b0c44298fc1c14"),
-        ("K1,3+K2", (0, 1, 2, 3)): (((False, 0), (True, 22), (False, 0)), (1, 2, 5, 15, 3, 7), 336, 5359, "571d5adfe4e0ad42"),
+        ("K1,3+K2", (0, 1, 2, 3)): (((False, 0), (True, 22), (False, 0)), (1, 2, 5, 15, 3, 7), 336, 3405, "63a11c294bfec909"),
     }
     GRAPHS = {
         "K1": Graph(["a"], []),
@@ -456,13 +479,14 @@ class TestTwinRuns:
 
     def test_top_x4_scope(self):
         # the benchmark's top-x4 pass: every class with 2-7 vertices over
-        # {0,1,2,3}; K1,6 alone gives 19,440 labelings through 52,839 nodes
+        # {0,1,2,3}, through 170,321 nodes without the max-open pendant
+        # floor; K1,6 alone gives 19,440 labelings through 52,839 nodes
         x = GroundSet((0, 1, 2, 3))
         counter = [0]
         labelings = sum(1 for n in range(2, 8)
                         for g in enumerate_connected_graphs(n, dedup=True)
                         for _ in iter_top_iasl_assignments(g, x, counter))
-        assert (labelings, counter[0]) == (35946, 170321)
+        assert (labelings, counter[0]) == (35946, 115071)
         counter = [0]
         assert sum(1 for _ in iter_top_iasl_assignments(star(6), x, counter)) == 19440
         assert counter[0] == 52839
@@ -505,6 +529,108 @@ class TestTwinRuns:
             assert stream() == reference
         finally:
             _capacity_table.cache_clear()
+
+
+class TestMaxOpenPendantFloor:
+    """The max-open pendant floor: without isolated vertices, the {0}-vertex
+    has at least as many pendant neighbours as T has opens holding max(X)."""
+
+    GROUNDS = [GroundSet((0,) + c) for r in range(4)
+               for c in combinations((1, 2, 3), r)]
+
+    @staticmethod
+    def pendant_neighbours(g, v):
+        return sum(1 for w in g.neighbors(v) if g.degree(w) == 1)
+
+    def test_stream_matches_the_unfloored_loop_and_meets_the_floor(self):
+        # every class with at most seven vertices and the pinned disconnected
+        # graphs, over every X that contains 0 inside {0,1,2,3}: the same
+        # (topology, labeling) sequence as the loop without the floor, and in
+        # every labeling of a graph without isolated vertices the {0}-vertex
+        # has at least r(T) pendant neighbours
+        graphs = list(TestTwinRuns.GRAPHS.values())
+        for n in range(1, 8):
+            graphs.extend(enumerate_connected_graphs(n, dedup=True))
+        labelings = floored = tight = 0
+        nodes = [0]
+        unfloored_nodes = [0]
+        for x in self.GROUNDS:
+            for g in graphs:
+                stream = list(iter_top_iasl_assignments(g, x, nodes))
+                assert stream == list(unfloored_top_iasl_assignments(
+                    g, x, unfloored_nodes))
+                labelings += len(stream)
+                if min(g.degrees().values()) == 0:
+                    continue
+                for t, masks in stream:
+                    zero = [v for v, m in masks.items() if m == ZERO_MASK]
+                    assert len(zero) == 1
+                    reach = sum(1 for m in t.open_masks if m >> x.max_element & 1)
+                    held = self.pendant_neighbours(g, zero[0])
+                    assert held >= reach
+                    floored += 1
+                    tight += held == reach
+        assert (labelings, floored, tight) == (41798, 38938, 9726)
+        assert (nodes[0], unfloored_nodes[0]) == (133248, 190502)
+
+    def test_k2_takes_zero_and_x(self):
+        # the 2-open families over {0,1} are {{0}, X} (r = 1) and {{1}, X}
+        # (r = 2); only the first fits, and each end of K2 has one pendant
+        # neighbour, so either may take {0}
+        _profiles, rows = _capacity_table(X01, 2)
+        assert [(family, reach) for family, _p, _a, reach in rows] == [
+            (0b101, 1), (0b110, 2)]
+        assert [(family, reach) for family, _a, reach
+                in _fitting_families(X01, [1, 1])] == [(0b101, 1)]
+        out = search_top_iasl(path(2), X01)
+        assert out.found
+        assert [sorted(masks.values()) for _t, masks
+                in iter_top_iasl_assignments(path(2), X01)] == [[1, 3], [1, 3]]
+
+    @pytest.mark.parametrize("name", ["2K1", "K2+K1"])
+    def test_isolated_vertices_keep_the_unfloored_stream(self, name):
+        # an isolated vertex may carry X or an open holding max(X), so the
+        # floor is off: the stream and every node count are the loop's
+        g = TestTwinRuns.GRAPHS[name]
+        for x in self.GROUNDS:
+            assert (list(counted_stream(iter_top_iasl_assignments, g, x))
+                    == list(counted_stream(unfloored_top_iasl_assignments, g, x)))
+
+    def test_disconnected_graph_without_isolated_vertices_is_floored(self):
+        # K1,3 + K2 has no isolated vertex, so the floor applies: the same
+        # 336 labelings over {0,1,2,3} through 3405 nodes instead of 5359;
+        # an end of K2 holds one pendant neighbour, so it takes {0} only
+        # when r(T) = 1, and the hub, with three, takes it otherwise
+        g = TestTwinRuns.GRAPHS["K1,3+K2"]
+        x = GroundSet((0, 1, 2, 3))
+        floored, unfloored = [0], [0]
+        stream = list(iter_top_iasl_assignments(g, x, floored))
+        assert stream == list(unfloored_top_iasl_assignments(g, x, unfloored))
+        assert (floored[0], unfloored[0]) == (3405, 5359)
+        zeros = Counter(
+            (next(v for v, m in masks.items() if m == ZERO_MASK),
+             sum(1 for m in t.open_masks if m >> x.max_element & 1))
+            for t, masks in stream)
+        assert zeros == {("c", 1): 156, ("c", 2): 84, ("c", 3): 36,
+                         ("u", 1): 30, ("w", 1): 30}
+
+    def test_t_disc_hub_passes_the_floor_and_the_matching_fails(self):
+        # a hub with 8 pendants and 6 more neighbours carrying a perfect
+        # matching: the 8 pendants are exactly r of the discrete topology
+        # over {0,1,2,3}, so the floor passes, and the four opens with
+        # maximum 2 cannot share the partners {1} and {0,1} (ROADMAP item 6)
+        leaves = [f"p{i}" for i in range(8)]
+        matched = [f"m{i}" for i in range(6)]
+        g = Graph(["h"] + leaves + matched,
+                  [("h", v) for v in leaves + matched]
+                  + [("m0", "m1"), ("m2", "m3"), ("m4", "m5")])
+        x = GroundSet((0, 1, 2, 3))
+        assert (g.n, g.m, self.pendant_neighbours(g, "h")) == (15, 17, 8)
+        out = search_top_iasl(g, x)
+        assert (out.found, out.nodes_explored) == (False, 385)
+        counter = [0]
+        assert list(unpruned_top_iasl_assignments(g, x, counter)) == []
+        assert counter[0] == 2155
 
 
 class TestIasglCore:
@@ -613,7 +739,7 @@ class TestCapacityRule:
         for x in self.GROUNDS:
             table = _families_by_open_count(x.size)
             for degrees in map(list, sorted(sequences)):
-                fitting = [(f, _capacities(x, f)[1])
+                fitting = [(f, _capacities(x, f)[1], max_opens(x, f))
                            for f in table.get(len(degrees), ())
                            if _fits(degrees, _capacities(x, f)[0])]
                 assert list(_fitting_families(x, degrees)) == fitting
