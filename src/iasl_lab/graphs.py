@@ -123,6 +123,11 @@ class Graph:
     def degrees(self) -> dict[str, int]:
         return {v: a.bit_count() for v, a in zip(self.vertices, self._adj)}
 
+    def pendant_neighbors(self) -> dict[str, int]:
+        """Each vertex's number of degree-1 neighbors."""
+        pendants = sum(1 << i for i, a in enumerate(self._adj) if a.bit_count() == 1)
+        return {v: (a & pendants).bit_count() for v, a in zip(self.vertices, self._adj)}
+
     def edge_names(self) -> list[tuple[str, str]]:
         return [(self.vertices[i], self.vertices[j]) for i, j in self.edges]
 

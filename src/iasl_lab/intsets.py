@@ -40,9 +40,11 @@ class ParseError(ValueError):
 
 
 def text_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, content) of every line of the text file formats, with
-    the ``#`` comment and surrounding whitespace cut; blank lines are skipped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    r"""(line number, content) of every line of the text file formats, with
+    the ``#`` comment and surrounding whitespace cut; blank lines are skipped.
+    Only ``\n`` ends a line, unlike ``str.splitlines``; the ``\r`` of
+    ``\r\n`` is cut with the whitespace."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line

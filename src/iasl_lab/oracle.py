@@ -270,13 +270,6 @@ def _judge_p3(ctx, g, x, st):
             f"over X = {x}")
 
 
-def _pendant_neighbors(g: Graph) -> list[int]:
-    """The number of pendant neighbors of each vertex, in vertex order."""
-    adj = g.neighbor_masks()
-    pendants = sum(1 << v for v, a in enumerate(adj) if a.bit_count() == 1)
-    return [(a & pendants).bit_count() for a in adj]
-
-
 def _maxel_pendants(ctx, g, x, st, solutions):
     """Labels containing max(X) sit on pendants adjacent to the {0}-vertex."""
     top = x.max_element
@@ -316,7 +309,7 @@ def _judge_t_char(ctx, g, x, st):
         1 for c in cls.per_subset.values()
         if not (c.is_nontrivial_sumset and c.is_nontrivial_summand))
     pend = len(st.pendant_vertices)
-    pendant_neighbors = dict(zip(g.vertices, _pendant_neighbors(g)))
+    pendant_neighbors = g.pendant_neighbors()
     for sol in sols:
         zv = _zero_vertex(sol)
         if zv is None:
@@ -355,7 +348,7 @@ def _judge_t_disc(ctx, g, x, st):
     """Discrete-topology labelings exist iff 2^(|X|-1) pendants share a neighbor."""
     # on 2^|X| - 1 vertices an injective labeling uses every non-empty subset
     admits = bool(ctx.top_iasl_solutions(g, x))
-    cond = max(_pendant_neighbors(g)) >= 1 << (x.size - 1)
+    cond = max(g.pendant_neighbors().values()) >= 1 << (x.size - 1)
     yield admits == cond or Witness(
         g, None,
         f"discrete labeling exists={admits}, pendant condition={cond} "

@@ -186,20 +186,10 @@ def _domains(degrees: list[int], at_least: tuple[int, ...],
     least the vertex's degree (``at_least``, from ``_capacities``), without
     position 0 ({0}) at vertices whose entry of ``holds`` is below
     ``zero_floor``. The graceful core passes the degrees and the zero-degree
-    floor, the topological core the pendant neighbours and the max-open
-    pendant floor (``_pendant_neighbours``)."""
+    floor, the topological core the pendant-neighbour counts
+    (``Graph.pendant_neighbors``) and the max-open pendant floor."""
     return [at_least[d] if h >= zero_floor else at_least[d] & ~1
             for d, h in zip(degrees, holds)]
-
-
-def _pendant_neighbours(earlier: list[list[int]], degrees: list[int]) -> list[int]:
-    """The number of pendant neighbours of each vertex, in ``_search_order``."""
-    counts = [0] * len(degrees)
-    for j, before in enumerate(earlier):
-        for i in before:
-            counts[i] += degrees[j] == 1
-            counts[j] += degrees[i] == 1
-    return counts
 
 
 # one table per (X, open count), built whole and never changed, so searches
@@ -432,15 +422,17 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     with at least r(T) pendant neighbours (``_domains``), and a topology
     where no vertex has that many is skipped without a node.
     """
-    # the capacity rule and the table's open counts imply both, but only
-    # once the topology table of |X| is built, which minimal_ground_set would
-    # then pay for graphs that never match
+    # the table's open counts imply the first test; the second is the
+    # max-open pendant floor with r(T) >= 1 (X is an open that holds max(X)),
+    # applied before the table of |X| is built, which minimal_ground_set
+    # would then pay for graphs that never match
     if not _labels_fit(g.n, x.size) or all(d >= 2 for d in g.degrees().values()):
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     partners = _partner_bitsets(x)
-    pendants = _pendant_neighbours(earlier, degrees)
+    counts = g.pendant_neighbors()
+    pendants = [counts[v] for v in order]
     most = max(pendants)
     # an isolated vertex may carry X or an open that holds max(X)
     floored = degrees[-1] >= 1

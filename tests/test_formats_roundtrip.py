@@ -120,3 +120,9 @@ def test_formats_share_one_line_rule(fmt):
     assert isinstance(err.value, ParseError)
     assert err.value.line == 3
     assert str(err.value).startswith("line 3: ")
+    # only "\n" ends a line: the other breaks of str.splitlines join two good
+    # lines into one bad one, reported with its "\n"-counted number
+    for joint in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(error) as err:
+            parse(f"{good[0]}\r\n{good[1]}{joint}{good[2]}\r\n")
+        assert err.value.line == 2

@@ -21,8 +21,7 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
 from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask, table_key
 from iasl_lab.search import (_assignments, _capacities, _capacity_table,
                               _domains, _fits, _fitting_families, _labels_fit,
-                              _partner_bitsets, _pendant_neighbours,
-                              _search_order)
+                              _partner_bitsets, _search_order)
 from iasl_lab.topology import _families_by_open_count, _topology
 import iasl_lab.search as search
 from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
@@ -116,7 +115,8 @@ def looped_top_iasl_assignments(g, x, counter, floored=True):
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
-    pendants = _pendant_neighbours(earlier, degrees)
+    counts = g.pendant_neighbors()
+    pendants = [counts[v] for v in order]
     for family in _families_by_open_count(x.size).get(g.n, ()):
         caps, at_least = _capacities(x, family)
         if not _fits(degrees, caps):
@@ -538,9 +538,32 @@ class TestMaxOpenPendantFloor:
     GROUNDS = [GroundSet((0,) + c) for r in range(4)
                for c in combinations((1, 2, 3), r)]
 
+    # ROADMAP item 6's T-disc graph: a hub with 8 pendants and 6 more
+    # neighbours carrying a perfect matching
+    T_DISC_HUB = Graph(["h"] + [f"p{i}" for i in range(8)]
+                       + [f"m{i}" for i in range(6)],
+                       [("h", f"p{i}") for i in range(8)]
+                       + [("h", f"m{i}") for i in range(6)]
+                       + [("m0", "m1"), ("m2", "m3"), ("m4", "m5")])
+
     @staticmethod
     def pendant_neighbours(g, v):
         return sum(1 for w in g.neighbors(v) if g.degree(w) == 1)
+
+    def test_graph_counts_pendant_neighbours(self):
+        # Graph.pendant_neighbors, the one count the core and the oracle
+        # read, against a count from neighbors() and degree(), in vertex order
+        graphs = [Graph([], []), self.T_DISC_HUB, *TestTwinRuns.GRAPHS.values()]
+        for n in range(1, 8):
+            graphs.extend(enumerate_connected_graphs(n, dedup=True))
+        for g in graphs:
+            counts = g.pendant_neighbors()
+            assert list(counts) == list(g.vertices)
+            assert counts == {v: self.pendant_neighbours(g, v) for v in g.vertices}
+        assert Graph([], []).pendant_neighbors() == {}
+        assert TestTwinRuns.GRAPHS["K1,3+K2"].pendant_neighbors() == {
+            "c": 3, "l1": 0, "l2": 0, "l3": 0, "u": 1, "w": 1}
+        assert self.T_DISC_HUB.pendant_neighbors()["h"] == 8
 
     def test_stream_matches_the_unfloored_loop_and_meets_the_floor(self):
         # every class with at most seven vertices and the pinned disconnected
@@ -615,15 +638,10 @@ class TestMaxOpenPendantFloor:
                          ("u", 1): 30, ("w", 1): 30}
 
     def test_t_disc_hub_passes_the_floor_and_the_matching_fails(self):
-        # a hub with 8 pendants and 6 more neighbours carrying a perfect
-        # matching: the 8 pendants are exactly r of the discrete topology
-        # over {0,1,2,3}, so the floor passes, and the four opens with
-        # maximum 2 cannot share the partners {1} and {0,1} (ROADMAP item 6)
-        leaves = [f"p{i}" for i in range(8)]
-        matched = [f"m{i}" for i in range(6)]
-        g = Graph(["h"] + leaves + matched,
-                  [("h", v) for v in leaves + matched]
-                  + [("m0", "m1"), ("m2", "m3"), ("m4", "m5")])
+        # the hub's 8 pendants are exactly r of the discrete topology over
+        # {0,1,2,3}, so the floor passes, and the four opens with maximum 2
+        # cannot share the partners {1} and {0,1} (ROADMAP item 6)
+        g = self.T_DISC_HUB
         x = GroundSet((0, 1, 2, 3))
         assert (g.n, g.m, self.pendant_neighbours(g, "h")) == (15, 17, 8)
         out = search_top_iasl(g, x)
