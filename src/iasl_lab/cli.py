@@ -59,7 +59,9 @@ def _emit_json(payload: dict) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="": the text formats end a line at "\n" only (text_lines), so
+    # a lone "\r" must reach the parser unchanged
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 

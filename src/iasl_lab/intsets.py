@@ -1,8 +1,10 @@
 """Finite sets of non-negative integers, sumsets, and power-set classification.
 
 Sets are stored as integer bit masks (bit ``i`` set iff ``i`` is a member), so
-a sumset costs one shift-or per element of the left operand and exhaustive
-sweeps over the power-set lattice of a small ground set stay cheap.
+a sumset costs one shift-or per element of the left operand (``sumset_mask``),
+an entry of the sumset table of P(X) one shift-or (``_sum_bits`` builds each
+row from a smaller one), and exhaustive sweeps over the power-set lattice of
+a small ground set stay cheap.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -229,16 +231,12 @@ class GroundSet:
         return self.mask.bit_length() - 1
 
     def subset_masks(self) -> tuple[int, ...]:
-        """All non-empty subset masks of X in canonical order."""
+        """All non-empty subset masks of X in canonical order
+        (``subset_sort_key``): combinations of the element bits, by size."""
         if self._subsets is None:
-            full = self.mask
-            subs = []
-            sub = full
-            while sub:
-                subs.append(sub)
-                sub = (sub - 1) & full
-            subs.sort(key=subset_sort_key)
-            self._subsets = tuple(subs)
+            bits = [1 << e for e in bits_of(self.mask)]
+            self._subsets = tuple(sum(c) for r in range(1, len(bits) + 1)
+                                  for c in combinations(bits, r))
         return self._subsets
 
     def __eq__(self, other: object) -> bool:
@@ -263,11 +261,22 @@ def all_nonempty_subsets(x: GroundSet) -> list[IntSet]:
 def _sum_bits(x: GroundSet) -> tuple[tuple[int, ...], ...]:
     """The sumset table of P(X): entry [p][q] has the bit of the position of
     the sumset of the p-th and q-th non-empty subsets of X (canonical order)
-    set, or is 0 when that sumset leaves X."""
+    set, or is 0 when that sumset leaves X.
+
+    Row A is built from row A − {a}, a = min A, which comes earlier in
+    canonical order (∅ for a singleton): A + B = ((A − {a}) + B) ∪ (B + a),
+    one shift-or per entry. The sumset masks are kept whole, so a sum that
+    leaves X stays out of ``bit``."""
     masks = x.subset_masks()
     bit = {m: 1 << p for p, m in enumerate(masks)}
-    return tuple(tuple(bit.get(sumset_mask(a, b), 0) for b in masks)
-                 for a in masks)
+    sums = {0: [0] * len(masks)}  # A -> the masks of A + B, B in order
+    rows = []
+    for a in masks:
+        low = a & -a
+        shift = low.bit_length() - 1
+        row = sums[a] = [s | b << shift for s, b in zip(sums[a ^ low], masks)]
+        rows.append(tuple([bit.get(s, 0) for s in row]))
+    return tuple(rows)
 
 
 def table_key(elements: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
@@ -373,33 +382,40 @@ def classify(x: GroundSet) -> SumsetClassification:
     and collapse rho. Results are cached per ground set and shared, so
     callers must not modify ``per_subset``.
     """
-    subs = x.subset_masks()
+    sets = [IntSet.from_mask(m) for m in x.subset_masks()]
     sums = _sum_bits(x)
     # sum bit -> the first pair of subsets, by position p <= q, that adds up
     # to it; position 0 holds {0}, the trivial summand
-    witness: dict[int, tuple[int, int]] = {}
+    witness: dict[int, tuple[IntSet, IntSet]] = {}
     summands = 0
     distinct = 0  # sum bits of pairs p < q
-    for p in range(1, len(subs)):
+    reached = 0  # sum bits of pairs p <= q, the keys of witness
+    for p in range(1, len(sets)):
         row = sums[p]
-        for q in range(p, len(subs)):
-            if row[q]:
-                witness.setdefault(row[q], (subs[p], subs[q]))
-                summands |= 1 << p | 1 << q
-                if q > p:
-                    distinct |= row[q]
+        # the table is symmetric, so p is in a pair exactly when its row
+        # has a sum past {0}'s column
+        if not any(row[1:]):
+            continue
+        summands |= 1 << p
+        # entries are 0 or one bit, so the distinct ones sum to their OR
+        later = sum(set(row[p + 1:]))
+        distinct |= later
+        new = (later | row[p]) & ~reached
+        reached |= new
+        while new:
+            low = new & -new
+            witness[low] = (sets[p], sets[row.index(low, p)])
+            new ^= low
     per: dict[IntSet, SubsetClass] = {}
     rho = 0
     neither = 0
-    for p, m in enumerate(subs):
+    for p, s in enumerate(sets):
         wit = witness.get(1 << p)
         is_sum = wit is not None
         is_summand = bool(summands >> p & 1)
-        per[IntSet.from_mask(m)] = SubsetClass(
-            is_sum, is_summand,
-            None if wit is None else (IntSet.from_mask(wit[0]), IntSet.from_mask(wit[1])))
+        per[s] = SubsetClass(is_sum, is_summand, wit)
         rho += is_sum
-        if m != ZERO_MASK and not is_sum and not is_summand:
+        if p and not is_sum and not is_summand:
             neither += 1
     return SumsetClassification(
         ground=x,
@@ -407,7 +423,7 @@ def classify(x: GroundSet) -> SumsetClassification:
         rho=rho,
         rho_prime=neither,
         rho_double_prime=neither,
-        x_is_sumset=1 << (len(subs) - 1) in witness,
+        x_is_sumset=1 << (len(sets) - 1) in witness,
         # every position but {0}'s is a required edge label
-        zero_degree_floor=(((1 << len(subs)) - 2) & ~distinct).bit_count(),
+        zero_degree_floor=(((1 << len(sets)) - 2) & ~distinct).bit_count(),
     )

@@ -165,10 +165,13 @@ def _capacities(x: GroundSet, family: int) -> tuple[tuple[int, ...], tuple[int, 
     partners = _partner_bitsets(x)
     caps = []
     exact = [0] * family.bit_count()  # bit p at index cap(p)
-    for p in bits_of(family):
-        c = (partners[p] & family & ~(1 << p)).bit_count()
+    rest = family
+    while rest:
+        low = rest & -rest
+        c = (partners[low.bit_length() - 1] & (family ^ low)).bit_count()
         caps.append(c)
-        exact[c] |= 1 << p
+        exact[c] |= low
+        rest ^= low
     caps.sort(reverse=True)
     return tuple(caps), tuple(accumulate(reversed(exact), or_))[::-1]
 
@@ -358,13 +361,14 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     """
     if g.m != (1 << x.size) - 2:
         return
+    zero_floor = classify(x).zero_degree_floor
+    # a positive floor needs {0} on a vertex of at least that degree; tested
+    # before the vertices are ordered, which a graph below it never needs
+    if zero_floor and max(g.degrees().values(), default=0) < zero_floor:
+        return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
     everything = (1 << len(masks)) - 1
-    zero_floor = classify(x).zero_degree_floor
-    # a positive floor needs {0} on a vertex of at least that degree
-    if zero_floor and degrees[0] < zero_floor:
-        return
     caps, at_least = _capacities(x, everything)
     if not _fits(degrees, caps):
         return

@@ -489,3 +489,37 @@ class TestInputErrors:
         code, _, err = run(capsys, "verify", "--class", "iasl", g, str(f))
         assert code == 2
         assert err == "error: missing ground set header 'X {...}'\n"
+
+
+class TestLineEnds:
+    """Files reach the parsers as written: only "\\n" ends a line."""
+
+    def test_lone_carriage_return_is_not_a_line_end(self, capsys, tmp_path):
+        # as two lines, a b and b c would be a path with a labeling over {0,1}
+        g = tmp_path / "g.txt"
+        g.write_bytes(b"a b\rb c\n")
+        code, out, err = run(capsys, "search", "--mode", "iasgl", str(g), "{0,1}")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: expected 1 or 2 tokens, got 4\n"
+
+    def write_twins(self, tmp_path, name, text):
+        lf = tmp_path / f"{name}-lf.txt"
+        crlf = tmp_path / f"{name}-crlf.txt"
+        lf.write_bytes(text.encode("utf-8"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        return str(lf), str(crlf)
+
+    @pytest.mark.parametrize("command", ["search", "verify", "realize"])
+    def test_crlf_file_reads_as_its_lf_twin(self, capsys, tmp_path, command):
+        graph = self.write_twins(tmp_path, "g", K12_GRAPH)
+        labeling = self.write_twins(tmp_path, "f", K12_LABELING)
+        topology = self.write_twins(tmp_path, "t", TestRealize.TOPOLOGY)
+        results = []
+        for side in (0, 1):
+            argv = {"search": ["search", "--mode", "iasgl", graph[side], "{0,1}"],
+                    "verify": ["verify", "--class", "iasgl", graph[side],
+                               labeling[side]],
+                    "realize": ["realize", topology[side]]}[command]
+            results.append(run(capsys, *argv, "--json"))
+        assert results[0] == results[1]
+        assert results[0][0] == 0

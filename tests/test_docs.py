@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+ROADMAP = README.parent / "ROADMAP.md"
 MODULES = ("search", "graphs", "intsets", "topology", "oracle", "labelings", "cli")
 NAME = re.compile(rf"`({'|'.join(MODULES)})\.(\w+(?:\.\w+)*)")
 TEST_REF = re.compile(r"tests/(\w+\.py)((?:::\w+)+)")
@@ -44,3 +45,14 @@ def test_test_references_resolve():
                 break
             body = node.body
     assert missing == []
+
+
+def test_tracked_line_count_is_current():
+    # the north star tracks `wc -l src/iasl_lab/*.py` as "... it is N now";
+    # a change to src/ that leaves N behind fails here
+    claims = re.findall(r"\bit is\s+([\d,]+)\s+now\b",
+                        ROADMAP.read_text(encoding="utf-8"))
+    assert len(claims) == 1
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (README.parent / "src" / "iasl_lab").glob("*.py"))
+    assert int(claims[0].replace(",", "")) == lines

@@ -12,7 +12,8 @@ from iasl_lab import (EnumerationInfeasible, GroundSet, IntSet,
                       all_nonempty_subsets, classify, summand_decompositions,
                       sumset)
 from iasl_lab.cli import main
-from iasl_lab.intsets import _sum_bits, _table_representatives, table_key
+from iasl_lab.intsets import (_sum_bits, _table_representatives, subset_sort_key,
+                              sumset_mask, table_key)
 
 # SHA-256 over `classify --json` and every subset's summand decompositions,
 # for X = {0} plus up to four elements of 1..7 (see test_outputs_are_pinned)
@@ -181,6 +182,14 @@ class TestSubsetEnumeration:
         assert len(subs) == 2 ** len(elems) - 1
         assert len({s.mask for s in subs}) == len(subs)
 
+    def test_canonical_order_over_every_small_ground_set(self):
+        # subset_masks generates the order; it must be subset_sort_key's
+        for size in range(1, 6):
+            for rest in combinations(range(1, 11), size - 1):
+                x = GroundSet((0,) + rest)
+                every = [m for m in range(1, x.mask + 1) if not m & ~x.mask]
+                assert x.subset_masks() == tuple(sorted(every, key=subset_sort_key))
+
 
 class TestSummandDecompositions:
     def test_spec_case_two(self):
@@ -292,7 +301,63 @@ class TestClassify:
         assert digest.hexdigest() == CLASSIFY_SHA256
 
 
+def looped_classify(x):
+    """``classify`` as a pair loop over the table, p <= q row-major: the
+    witness masks of each subset (None when it is no sumset), the summand
+    flags, rho, rho', whether X is a sumset, and beta."""
+    subs = x.subset_masks()
+    sums = _sum_bits(x)
+    witness = {}
+    summands = 0
+    distinct = 0
+    for p in range(1, len(subs)):
+        for q in range(p, len(subs)):
+            if sums[p][q]:
+                witness.setdefault(sums[p][q], (subs[p], subs[q]))
+                summands |= 1 << p | 1 << q
+                if q > p:
+                    distinct |= sums[p][q]
+    per = [(witness.get(1 << p), bool(summands >> p & 1))
+           for p in range(len(subs))]
+    neither = sum(1 for p, (wit, summand) in enumerate(per)
+                  if p and wit is None and not summand)
+    return (per, len(witness), neither, 1 << (len(subs) - 1) in witness,
+            (((1 << len(subs)) - 2) & ~distinct).bit_count())
+
+
 class TestTableKey:
+    # every X containing 0 inside {0,...,10} with |X| <= 5
+    GROUNDS = [GroundSet((0,) + rest) for size in range(1, 6)
+               for rest in combinations(range(1, 11), size - 1)]
+
+    def test_table_entries_are_sumset_positions(self):
+        # each row is built from a smaller one; every entry must still be
+        # the position bit of the plain sumset, or 0 outside X
+        assert len(self.GROUNDS) == 386
+        for x in self.GROUNDS:
+            masks = x.subset_masks()
+            expected = tuple(
+                tuple(1 << masks.index(sumset_mask(a, b))
+                      if sumset_mask(a, b) & ~x.mask == 0 else 0
+                      for b in masks)
+                for a in masks)
+            assert _sum_bits(x) == expected
+
+    def test_classify_equals_the_pair_loop(self):
+        # classify reads whole rows; it must keep the pair loop's first
+        # witness (p <= q, row-major) and every count
+        for x in self.GROUNDS:
+            c = classify(x)
+            per = [(None if k.witness is None
+                    else (k.witness[0].mask, k.witness[1].mask),
+                    k.is_nontrivial_summand) for k in c.per_subset.values()]
+            assert [s.mask for s in c.per_subset] == list(x.subset_masks())
+            assert all(k.is_nontrivial_sumset == (k.witness is not None)
+                       for k in c.per_subset.values())
+            assert (per, c.rho, c.rho_prime, c.x_is_sumset,
+                    c.zero_degree_floor) == looped_classify(x)
+            assert c.rho_double_prime == c.rho_prime
+
     def test_keys_match_sumset_tables(self):
         # every X containing 0 inside {0,...,10} with |X| <= 5: 386 ground
         # sets, grouped alike by their key and by their table

@@ -5,6 +5,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate, combinations, permutations
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,12 @@ from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
                       all_nonempty_subsets)
-from iasl_lab.intsets import ZERO_MASK, _sum_bits, sumset_mask, table_key
+from iasl_lab.intsets import (ZERO_MASK, _sum_bits, bits_of, sumset_mask,
+                              table_key)
 from iasl_lab.search import (_assignments, _capacities, _capacity_table,
                               _domains, _fits, _fitting_families, _labels_fit,
                               _partner_bitsets, _search_order)
-from iasl_lab.topology import _families_by_open_count, _topology
+from iasl_lab.topology import _families, _families_by_open_count, _topology
 import iasl_lab.search as search
 from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
 
@@ -748,6 +750,32 @@ class TestCapacityRule:
                     cap = per_topology[t]
                     assert all(degrees[v] <= cap[a] for v, a in masks.items())
 
+    @staticmethod
+    def looped_capacities(x, family):
+        # _capacities over bits_of, with each position's own bit cleared
+        partners = _partner_bitsets(x)
+        caps = []
+        exact = [0] * family.bit_count()
+        for p in bits_of(family):
+            c = (partners[p] & family & ~(1 << p)).bit_count()
+            caps.append(c)
+            exact[c] |= 1 << p
+        caps.sort(reverse=True)
+        return tuple(caps), tuple(accumulate(reversed(exact), or_))[::-1]
+
+    def test_capacities_equal_the_bits_of_loop(self):
+        # every family of every X inside {0,1,2,3}, and the largest open
+        # count (7 opens, 955 families) over two five-element X
+        cases = [(x, family) for x in self.GROUNDS
+                 for family in _families(x.size)]
+        for elems in ((0, 1, 3, 4, 6), (0, 1, 2, 3, 4)):
+            x = GroundSet(elems)
+            cases.extend((x, family)
+                         for family in _families_by_open_count(5)[7])
+        assert len(cases) == 1 + 3 * 4 + 3 * 29 + 355 + 2 * 955
+        for x, family in cases:
+            assert _capacities(x, family) == self.looped_capacities(x, family)
+
     def test_fitting_families_are_the_families_that_fit(self):
         # the families of the open count whose own capacities hold the
         # degrees, each with its own at_least, in table order, for every
@@ -801,6 +829,30 @@ class TestZeroDegreeFloor:
             for g in graphs:
                 assert (list(iter_iasgl_assignments(g, x))
                         == list(unpruned_iasgl_assignments(g, x)))
+
+
+class TestFloorBeforeOrder:
+    """The graceful core tests the zero-degree floor before it orders the
+    vertices: a graph below the floor costs no ``_search_order``."""
+
+    @pytest.mark.parametrize("x, g", [
+        (X01, parse_graph("a b\nc d\n")),     # beta 2, largest degree 1
+        (X012, cycle(6)),                       # beta 5, largest degree 2
+        (GroundSet((0, 1, 2, 3)), cycle(14)),   # beta 8
+        (GroundSet(range(5)), cycle(30)),       # beta 14
+    ])
+    def test_below_the_floor_orders_nothing(self, monkeypatch, x, g):
+        beta = classify(x).zero_degree_floor
+        assert g.m == (1 << x.size) - 2
+        assert max(g.degrees().values()) < beta
+
+        def refuse(_g):
+            raise AssertionError("ordered a graph below the floor")
+
+        monkeypatch.setattr(search, "_search_order", refuse)
+        counter = [0]
+        assert list(iter_iasgl_assignments(g, x, counter)) == []
+        assert counter == [0]
 
 
 class TestSearchTopIasgl:
