@@ -389,23 +389,14 @@ def classify(x: GroundSet) -> SumsetClassification:
     witness: dict[int, tuple[IntSet, IntSet]] = {}
     summands = 0
     distinct = 0  # sum bits of pairs p < q
-    reached = 0  # sum bits of pairs p <= q, the keys of witness
     for p in range(1, len(sets)):
         row = sums[p]
-        # the table is symmetric, so p is in a pair exactly when its row
-        # has a sum past {0}'s column
-        if not any(row[1:]):
-            continue
-        summands |= 1 << p
-        # entries are 0 or one bit, so the distinct ones sum to their OR
-        later = sum(set(row[p + 1:]))
-        distinct |= later
-        new = (later | row[p]) & ~reached
-        reached |= new
-        while new:
-            low = new & -new
-            witness[low] = (sets[p], sets[row.index(low, p)])
-            new ^= low
+        for q in range(p, len(sets)):
+            if row[q]:
+                witness.setdefault(row[q], (sets[p], sets[q]))
+                summands |= 1 << p | 1 << q
+                if q > p:
+                    distinct |= row[q]
     per: dict[IntSet, SubsetClass] = {}
     rho = 0
     neither = 0

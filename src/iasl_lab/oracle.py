@@ -338,7 +338,11 @@ def _judge_t_tree(ctx, g, x, st):
 
 
 def _judge_t_toppend(ctx, g, x, st):
-    """Topologically labelable (non-trivial) graphs have a pendant vertex."""
+    """Topologically labelable (non-trivial) graphs have a pendant vertex.
+
+    Holds by construction, so it can never yield a witness:
+    ``iter_top_iasl_assignments`` returns before any node when every degree
+    is >= 2, and a connected graph with n >= 2 has no degree below 1."""
     if ctx.top_iasl_solutions(g, x):
         yield bool(st.pendant_vertices) or Witness(
             g, None, f"no pendant vertex over X = {x}")

@@ -150,8 +150,8 @@ def closed_family(masks: Iterable[int], xmask: int) -> bool:
 def _families(k: int) -> tuple[int, ...]:
     """All topologies on a k-element set, in canonical order.
 
-    A family is a bitset over the positions of its non-empty opens in the
-    canonical order of the non-empty subsets, X's position being the last.
+    A family is a bitset over the positions of its non-empty opens in
+    ``GroundSet(range(k)).subset_masks()``, X's position being the last.
     The increasing bijection onto any ground set of size k keeps that order,
     so position p reads as ``x.subset_masks()[p]`` there. A topology is
     fixed by its least open sets (Alexandroff): x ∈ U[x], and y ∈ U[x]
@@ -159,7 +159,7 @@ def _families(k: int) -> tuple[int, ...]:
     as the table of the union of U[y] over every set of the points so far;
     since x ∈ U[x], a set m is open exactly when that union is m itself.
     """
-    masks = sorted(range(1, 1 << k), key=subset_sort_key)
+    masks = GroundSet(range(k)).subset_masks()
     unions = [[0]]
     for x in range(k):
         bit = 1 << x

@@ -302,27 +302,29 @@ class TestClassify:
 
 
 def looped_classify(x):
-    """``classify`` as a pair loop over the table, p <= q row-major: the
-    witness masks of each subset (None when it is no sumset), the summand
-    flags, rho, rho', whether X is a sumset, and beta."""
+    """``classify`` from its definition, without the sumset table: every pair
+    p <= q of subsets other than {0}, in row-major order, gives the witness
+    masks of each subset (None when it is no sumset), the summand flags, rho,
+    rho', whether X is a sumset, and beta."""
     subs = x.subset_masks()
-    sums = _sum_bits(x)
     witness = {}
-    summands = 0
-    distinct = 0
+    summands = set()
+    distinct = set()  # sums of pairs p < q
     for p in range(1, len(subs)):
         for q in range(p, len(subs)):
-            if sums[p][q]:
-                witness.setdefault(sums[p][q], (subs[p], subs[q]))
-                summands |= 1 << p | 1 << q
-                if q > p:
-                    distinct |= sums[p][q]
-    per = [(witness.get(1 << p), bool(summands >> p & 1))
-           for p in range(len(subs))]
+            c = sumset_mask(subs[p], subs[q])
+            if c & ~x.mask:
+                continue
+            k = subs.index(c)
+            witness.setdefault(k, (subs[p], subs[q]))
+            summands |= {p, q}
+            if q > p:
+                distinct.add(k)
+    per = [(witness.get(p), p in summands) for p in range(len(subs))]
     neither = sum(1 for p, (wit, summand) in enumerate(per)
                   if p and wit is None and not summand)
-    return (per, len(witness), neither, 1 << (len(subs) - 1) in witness,
-            (((1 << len(subs)) - 2) & ~distinct).bit_count())
+    floor = sum(1 for p in range(1, len(subs)) if p not in distinct)
+    return (per, len(witness), neither, len(subs) - 1 in witness, floor)
 
 
 class TestTableKey:
@@ -344,8 +346,8 @@ class TestTableKey:
             assert _sum_bits(x) == expected
 
     def test_classify_equals_the_pair_loop(self):
-        # classify reads whole rows; it must keep the pair loop's first
-        # witness (p <= q, row-major) and every count
+        # classify reads the sumset table; it must keep the definition's
+        # first witness (p <= q, row-major) and every count
         for x in self.GROUNDS:
             c = classify(x)
             per = [(None if k.witness is None
