@@ -60,8 +60,9 @@ def _emit_json(payload: dict) -> None:
 
 def _read(path: str) -> str:
     # newline="": the text formats end a line at "\n" only (text_lines), so
-    # a lone "\r" must reach the parser unchanged
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # a lone "\r" must reach the parser unchanged; utf-8-sig drops a leading
+    # byte-order mark, which would otherwise stick to the first token
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 

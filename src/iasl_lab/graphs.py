@@ -2,7 +2,9 @@
 
 Covers the edge-list file format, structural predicates used by the labeling
 theorems, isomorphism canonical forms, and exhaustive enumeration of small
-connected graphs (the substrate for the theorem-checking suite).
+connected graphs (the substrate for the theorem-checking suite). The classes
+up to isomorphism are read from the committed atlas (``_class_atlas``), which
+the class build ``_connected_class_masks`` generates and is checked against.
 """
 
 from __future__ import annotations
@@ -456,7 +458,8 @@ def _orbit_minima(adj: Sequence[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
     """Canonical edge masks of connected graphs on n vertices, up to iso,
-    in increasing order.
+    in increasing order. This build generates the class atlas
+    (scripts/write_class_atlas.py), which enumeration reads instead.
 
     Built by attaching a new vertex v with a non-empty neighborhood S to
     each class H on n-1 vertices, skipping the candidates where some other
@@ -507,6 +510,14 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
+@lru_cache(maxsize=None)
+def _class_masks(n: int) -> tuple[int, ...]:
+    """``_connected_class_masks(n)``, read from the committed atlas."""
+    # imported on first use, so a run that enumerates no classes never loads it
+    from ._class_atlas import CLASS_MASKS
+    return tuple(int(mask, 16) for mask in CLASS_MASKS[n].split())
+
+
 def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph._unchecked(tuple(f"v{i}" for i in range(1, n + 1)),
                             _edges_of_mask(n, mask))
@@ -525,7 +536,7 @@ def enumerate_connected_graphs(n: int, dedup: bool = False,
     if n > ENUMERATION_VERTEX_CAP:
         raise EnumerationInfeasible(
             f"enumeration capped at {ENUMERATION_VERTEX_CAP} vertices, got {n}")
-    masks = _connected_class_masks(n) if dedup else range(1 << (n * (n - 1) // 2))
+    masks = _class_masks(n) if dedup else range(1 << (n * (n - 1) // 2))
     for mask in masks:
         if max_edges is not None and mask.bit_count() > max_edges:
             continue

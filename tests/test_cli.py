@@ -502,18 +502,19 @@ class TestLineEnds:
         assert (code, out) == (2, "")
         assert err == "error: line 1: expected 1 or 2 tokens, got 4\n"
 
-    def write_twins(self, tmp_path, name, text):
-        lf = tmp_path / f"{name}-lf.txt"
-        crlf = tmp_path / f"{name}-crlf.txt"
-        lf.write_bytes(text.encode("utf-8"))
-        crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-        return str(lf), str(crlf)
+    def write_twins(self, tmp_path, name, text, twin):
+        plain = tmp_path / f"{name}-plain.txt"
+        other = tmp_path / f"{name}-twin.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        other.write_bytes(twin(text.encode("utf-8")))
+        return str(plain), str(other)
 
-    @pytest.mark.parametrize("command", ["search", "verify", "realize"])
-    def test_crlf_file_reads_as_its_lf_twin(self, capsys, tmp_path, command):
-        graph = self.write_twins(tmp_path, "g", K12_GRAPH)
-        labeling = self.write_twins(tmp_path, "f", K12_LABELING)
-        topology = self.write_twins(tmp_path, "t", TestRealize.TOPOLOGY)
+    def run_twins(self, capsys, tmp_path, command, twin):
+        """The command's (code, stdout, stderr) on plain K1,2 input files and
+        on their twins, whose bytes ``twin`` makes from the plain ones."""
+        graph = self.write_twins(tmp_path, "g", K12_GRAPH, twin)
+        labeling = self.write_twins(tmp_path, "f", K12_LABELING, twin)
+        topology = self.write_twins(tmp_path, "t", TestRealize.TOPOLOGY, twin)
         results = []
         for side in (0, 1):
             argv = {"search": ["search", "--mode", "iasgl", graph[side], "{0,1}"],
@@ -521,5 +522,20 @@ class TestLineEnds:
                                labeling[side]],
                     "realize": ["realize", topology[side]]}[command]
             results.append(run(capsys, *argv, "--json"))
+        return results
+
+    @pytest.mark.parametrize("command", ["search", "verify", "realize"])
+    def test_crlf_file_reads_as_its_lf_twin(self, capsys, tmp_path, command):
+        results = self.run_twins(capsys, tmp_path, command,
+                                 lambda data: data.replace(b"\n", b"\r\n"))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    @pytest.mark.parametrize("command", ["search", "verify", "realize"])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, command):
+        # a UTF-8 byte-order mark would otherwise start the first vertex name
+        # or ground-set line
+        results = self.run_twins(capsys, tmp_path, command,
+                                 lambda data: b"\xef\xbb\xbf" + data)
         assert results[0] == results[1]
         assert results[0][0] == 0

@@ -399,6 +399,17 @@ class TestEnumeration:
                    for g in enumerate_connected_graphs(n, dedup=True)]
         assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_SHA256
 
+    def test_classes_are_read_from_the_atlas(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("class enumeration rebuilt the classes")
+
+        monkeypatch.setattr(graphs, "canonical_mask", refuse)
+        monkeypatch.setattr(graphs, "_connected_class_masks", refuse)
+        graphs._class_masks.cache_clear()
+        classes = [(g.n, g.edges) for n in range(1, 8)
+                   for g in enumerate_connected_graphs(n, dedup=True)]
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_SHA256
+
     def test_classes_are_pairwise_non_isomorphic(self):
         graphs = list(enumerate_connected_graphs(5, dedup=True))
         keys = {g.canonical_key() for g in graphs}

@@ -98,3 +98,11 @@ class TestSmallestGroundSets:
         assert rows[5].split() == ["K_(1,14)", "{0,1,2,3}", "{0,1,2,3}", "{0,1,2,3}"]
         assert rows[9].split() == ["P_5", "-", "{0,1,2,3}", "-"]
         assert re.fullmatch(r"total time: \d+\.\d ms", rows[-1])
+
+
+class TestClassAtlas:
+    def test_committed_atlas_is_the_rendering(self):
+        # fails when the class build or ENUMERATION_VERTEX_CAP changes
+        # without the atlas being written again
+        atlas = load("write_class_atlas")
+        assert atlas.ATLAS.read_bytes() == atlas.render().encode("utf-8")
