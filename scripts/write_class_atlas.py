@@ -5,8 +5,8 @@ The atlas holds the canonical edge masks of the connected graphs on n
 vertices, up to isomorphism, for n = 1 to ENUMERATION_VERTEX_CAP, as
 ``graphs._connected_class_masks(n)`` builds them. ``enumerate_connected_graphs``
 reads them from there. Run this after a change to the class build or to the
-cap; tests/test_graphs.py fails while the committed atlas differs from what
-this script renders.
+cap; tests/test_scripts.py::TestClassAtlas fails while the committed atlas
+differs from what this script renders.
 
 Usage:
     python scripts/write_class_atlas.py

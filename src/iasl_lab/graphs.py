@@ -47,12 +47,6 @@ def _induces_connected(adj: Sequence[int], alive: int) -> bool:
     return seen == alive
 
 
-@lru_cache(maxsize=None)
-def _positions(n: int) -> tuple[tuple[int, ...], ...]:
-    """The ``bits_of`` positions of every vertex mask below 2^n."""
-    return tuple(tuple(bits_of(mask)) for mask in range(1 << n))
-
-
 class Graph:
     """Immutable simple undirected graph.
 
@@ -287,24 +281,13 @@ def _refine_colors(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
     vertices by their color, then by the sorted tuple of their neighbors'
     colors. Refinement only splits classes, so it is stable once a round
     adds none.
-
-    A round's signature is one int: the color above one field per color,
-    color 0 the most significant, each holding the complement of the count
-    of neighbors of that color (a count below n fits in n.bit_length()
-    bits). Vertices of one color have one degree, so at the first color
-    whose counts differ the larger count gives the smaller sorted tuple:
-    the ints order the vertices as the (color, tuple) pairs do.
     """
     degrees = [len(a) for a in adj]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     colors = [rank[d] for d in degrees]
     classes = len(rank)
-    width = n.bit_length()
     while classes < n:
-        top = width * classes
-        full = (1 << top) - 1
-        weight = [1 << (top - width - width * c) for c in colors]
-        sigs = [c << top | full - sum(map(weight.__getitem__, a))
+        sigs = [(c, tuple(sorted(map(colors.__getitem__, a))))
                 for c, a in zip(colors, adj)]
         distinct = sorted(set(sigs))
         if len(distinct) == classes:
@@ -334,22 +317,22 @@ def canonical_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
     permutation of a twin class is an automorphism, and twins share a color,
     so some minimal ordering places each twin after the previous one in its
     color block; a vertex is offered only once that twin is placed.
+
+    A repeated pair counts once, in either orientation; a loop or an index
+    outside 0..n-1 raises ``ValueError``.
     """
     edges = list(edges)
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"loop at vertex {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) has a vertex outside range({n})")
     if n <= 1:
         return 0
-    # one edge pass fills all three; reusing _adjacency slowed the n <= 7 class build
-    adj: list[list[int]] = [[] for _ in range(n)]
-    nbrs = [0] * n
+    nbrs = _adjacency(n, edges)
+    adj = [tuple(bits_of(a)) for a in nbrs]
     # vertex u's adjacency to the filled positions is the n-bit field at u*n
-    spread = [0] * n
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-        nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
-        spread[i] |= 1 << (j * n)
-        spread[j] |= 1 << (i * n)
+    spread = [sum(1 << (j * n) for j in a) for a in adj]
     colors = _refine_colors(n, adj)
     field = [((1 << n) - 1) << (v * n) for v in range(n)]
     blocks: dict[int, list[int]] = {}
@@ -403,58 +386,6 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
 
 # --- enumeration -------------------------------------------------------------
 
-def _automorphisms(adj: Sequence[int]) -> list[tuple[int, ...]]:
-    """Every automorphism of the graph with neighbor bitmasks ``adj``, as the
-    tuple of vertex images, in increasing order.
-
-    Backtracks over the vertices in order, mapping each to an unused vertex
-    of its refinement color whose adjacency to the images so far matches.
-    """
-    n = len(adj)
-    positions = _positions(n)
-    colors = _refine_colors(n, [positions[a] for a in adj])
-    cells = [[w for w in range(n) if colors[w] == c] for c in colors]
-    found = []
-    image = [0] * n
-
-    def extend(v: int, used: int) -> None:
-        if v == n:
-            found.append(tuple(image))
-            return
-        # the images of v's neighbors among the vertices already mapped
-        want = 0
-        for u in positions[adj[v] & ((1 << v) - 1)]:
-            want |= 1 << image[u]
-        for w in cells[v]:
-            if not used >> w & 1 and adj[w] & used == want:
-                image[v] = w
-                extend(v + 1, used | 1 << w)
-
-    extend(0, 0)
-    return found
-
-
-def _orbit_minima(adj: Sequence[int]) -> list[int]:
-    """The non-empty vertex subsets, as bitmasks, that are the least of their
-    orbit under the automorphisms of the graph with neighbor bitmasks ``adj``."""
-    n = len(adj)
-    # the first automorphism is the identity, which maps each set to itself
-    images = [[1 << w for w in aut] for aut in _automorphisms(adj)[1:]]
-    if not images:
-        return list(range(1, 1 << n))
-    positions = _positions(n)
-    seen = bytearray(1 << n)
-    minima = []
-    for s in range(1, 1 << n):
-        if seen[s]:
-            continue
-        minima.append(s)
-        members = positions[s]
-        for bit in images:  # distinct bits, so their sum is their union
-            seen[sum(map(bit.__getitem__, members))] = 1
-    return minima
-
-
 @lru_cache(maxsize=None)
 def _connected_class_masks(n: int) -> tuple[int, ...]:
     """Canonical edge masks of connected graphs on n vertices, up to iso,
@@ -471,27 +402,20 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
     Such a u is no cut vertex of H + v either, since H - u is connected and
     v keeps a neighbor in it; so no candidate whose v is a non-cut vertex of
     least key is skipped.
-
-    Only the least S of each orbit under Aut(H) is tried. For an
-    automorphism σ of H, H + v with N(v) = S and H + v with N(v) = σ(S) are
-    isomorphic under σ extended by v ↦ v. That isomorphism fixes v and maps
-    H onto itself, so the keys and the cut test above give both candidates
-    the same answer.
     """
     if n == 1:
         return (0,)
     new = n - 1
     everyone = (1 << new) - 1
-    positions = _positions(new)
     seen: set[int] = set()
     for hmask in _connected_class_masks(new):
         h_edges = _edges_of_mask(new, hmask)
         h_adj = _adjacency(new, h_edges)
         h_deg = [a.bit_count() for a in h_adj]
-        h_sum = [sum(map(h_deg.__getitem__, positions[a])) for a in h_adj]
+        h_sum = [sum(map(h_deg.__getitem__, bits_of(a))) for a in h_adj]
         non_cut = [u for u in range(new)
                    if _induces_connected(h_adj, everyone & ~(1 << u))]
-        for s in _orbit_minima(h_adj):
+        for s in range(1, 1 << new):
             degree = s.bit_count()
             total = None  # v's sum of neighbor degrees, once a degree ties
             for u in non_cut:
@@ -500,13 +424,13 @@ def _connected_class_masks(n: int) -> tuple[int, ...]:
                     continue
                 if h_deg[u] + inside == degree:
                     if total is None:
-                        total = sum(map(h_deg.__getitem__, positions[s])) + degree
+                        total = sum(map(h_deg.__getitem__, bits_of(s))) + degree
                     if h_sum[u] + (h_adj[u] & s).bit_count() + inside * degree >= total:
                         continue
                 if s != 1 << u:
                     break
             else:
-                seen.add(canonical_mask(n, h_edges + tuple((i, new) for i in positions[s])))
+                seen.add(canonical_mask(n, h_edges + tuple((i, new) for i in bits_of(s))))
     return tuple(sorted(seen))
 
 

@@ -185,6 +185,19 @@ class TestCanonicalForm:
     def test_distinguishes_path_from_star(self):
         assert not graphs_isomorphic(path(4), star(3))
 
+    def test_repeated_pairs_count_once(self):
+        p3 = canonical_mask(3, [(0, 1), (1, 2)])
+        assert canonical_mask(3, [(0, 1), (1, 2), (1, 2)]) == p3
+        assert canonical_mask(3, [(0, 1), (2, 1), (1, 2), (1, 0)]) == p3
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0, 0), (0, 1)]), (1, [(0, 0)]), (3, [(0, 3)]),
+        (3, [(-1, 0)]), (1, [(0, 1)]), (0, [(0, 1)]),
+    ], ids=["loop", "loop-n1", "index-n", "negative", "index-n1", "index-n0"])
+    def test_loops_and_foreign_indices_are_refused(self, n, edges):
+        with pytest.raises(ValueError):
+            canonical_mask(n, edges)
+
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
     def test_invariant_under_permutation(self, n, rng):
@@ -247,8 +260,6 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("n", range(2, 18))
     def test_int_signatures_match_one_color_refinement(self, n):
-        # the count fields are n.bit_length() bits wide, which grows at
-        # n = 8 and n = 16
         rng = random.Random(n)
         for _ in range(150):
             density = rng.random()
@@ -259,25 +270,6 @@ class TestCanonicalForm:
                         adj[i].append(j)
                         adj[j].append(i)
             assert graphs._refine_colors(n, adj) == one_color_refinement(n, adj)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_automorphisms_match_brute_force(self, n):
-        for mask in graphs._connected_class_masks(n):
-            adj = graphs._adjacency(n, graphs._edges_of_mask(n, mask))
-            brute = [perm for perm in permutations(range(n))
-                     if all(sum(1 << perm[u] for u in range(n) if adj[v] >> u & 1)
-                            == adj[perm[v]] for v in range(n))]
-            assert graphs._automorphisms(adj) == brute
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_orbit_minima_are_one_per_orbit(self, n):
-        for mask in graphs._connected_class_masks(n):
-            adj = graphs._adjacency(n, graphs._edges_of_mask(n, mask))
-            auts = graphs._automorphisms(adj)
-            least = {min(sum(1 << aut[u] for u in range(n) if s >> u & 1)
-                         for aut in auts)
-                     for s in range(1, 1 << n)}
-            assert graphs._orbit_minima(adj) == sorted(least)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_classes_distinct_by_brute_force(self, n):
@@ -319,7 +311,7 @@ class TestEnumeration:
         every = list(enumerate_connected_graphs(n, dedup=True))
         assert bounded == [g for g in every if g.m <= n]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_filtered_build_matches_unfiltered(self, n):
         assert graphs._connected_class_masks(n) == tuple(sorted(unfiltered_class_masks(n)))
 
@@ -338,7 +330,7 @@ class TestEnumeration:
         classes = graphs._connected_class_masks(8)
         assert len(classes) == CONNECTED_CLASSES_8
         assert hashlib.sha256(repr(classes).encode()).hexdigest() == CLASSES_8_SHA256
-        assert calls[8] == 12039
+        assert calls[8] == 20068
 
     def test_canonical_mask_calls_in_the_class_build(self, monkeypatch):
         # candidates pass the deletion filter only when no non-cut vertex
@@ -354,8 +346,8 @@ class TestEnumeration:
         graphs._connected_class_masks.cache_clear()
         for n in range(1, 8):
             graphs._connected_class_masks(n)
-        assert calls == {2: 1, 3: 2, 4: 6, 5: 21, 6: 114, 7: 894}
-        assert sum(calls.values()) == 1038
+        assert calls == {2: 1, 3: 3, 4: 11, 5: 47, 6: 244, 7: 1816}
+        assert sum(calls.values()) == 2122
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_vertices_taken_as_non_cut_are_non_cut(self, n):
