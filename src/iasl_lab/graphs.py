@@ -60,6 +60,8 @@ class Graph:
         vs = tuple(vertices)
         index = {}
         for v in vs:
+            if not isinstance(v, str):
+                raise ValueError(f"vertex name {v!r} is not a string")
             if v in index:
                 raise ValueError(f"duplicate vertex {v!r}")
             index[v] = len(index)

@@ -13,7 +13,7 @@ threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -54,9 +54,11 @@ def text_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def check_text_names(names: Iterable[str]) -> None:
     """Raise ``ValueError`` naming the first vertex name the text formats
-    cannot carry: an empty one, or one with whitespace or ``#`` in it."""
+    cannot carry: one that is no string, an empty one, or one with
+    whitespace or ``#`` in it."""
     for name in names:
-        if not name or "#" in name or any(c.isspace() for c in name):
+        if (not isinstance(name, str) or not name or "#" in name
+                or any(c.isspace() for c in name)):
             raise ValueError(f"vertex name {name!r} cannot be written as text")
 
 
@@ -250,6 +252,24 @@ class GroundSet:
 
     def __repr__(self) -> str:
         return f"GroundSet({self})"
+
+
+def record_json(record) -> dict:
+    """The JSON of a dataclass record: its fields in declaration order."""
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)}
+
+
+def _json_value(value):
+    """Sets and ground sets as literals, lists and tuples as lists, dicts by
+    value, anything with a ``to_json`` by its own JSON, the rest as it is."""
+    if isinstance(value, (IntSet, GroundSet)):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    to_json = getattr(value, "to_json", None)
+    return value if to_json is None else to_json()
 
 
 def all_nonempty_subsets(x: GroundSet) -> list[IntSet]:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .graphs import Graph
 from .intsets import (GroundSet, IntSet, ParseError, ZERO_MASK,
-                      check_text_names, sumset_mask, text_lines)
+                      check_text_names, record_json, sumset_mask, text_lines)
 
 
 class LabelingParseError(ParseError):
@@ -43,9 +43,7 @@ class Labeling:
         lines.extend(f"{v} {s}" for v, s in self.assignment.items())
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> dict:
-        return {"ground": str(self.ground),
-                "assignment": {v: str(s) for v, s in self.assignment.items()}}
+    to_json = record_json
 
 
 def parse_labeling(text: str) -> Labeling:
@@ -80,8 +78,7 @@ class Violation:
     where: str
     detail: str
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "where": self.where, "detail": self.detail}
+    to_json = record_json
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,7 @@ class VerificationReport:
     def from_violations(cls, violations: list) -> "VerificationReport":
         return cls(verdict=not violations, violations=violations)
 
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict,
-                "violations": [v.to_json() for v in self.violations]}
+    to_json = record_json
 
 
 def induced_edge_labels(g: Graph, f: Labeling) -> dict:

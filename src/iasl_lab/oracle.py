@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from .graphs import (ENUMERATION_VERTEX_CAP, Graph, enumerate_connected_graphs,
                      structure)
 from .intsets import (EnumerationInfeasible, GroundSet, IntSet, ZERO_MASK,
-                      classify)
+                      classify, record_json)
 from .labelings import Labeling
 from . import search
 from .search import iter_iasgl_assignments, iter_top_iasl_assignments
@@ -29,9 +29,7 @@ class Scope:
     max_vertices: int
     ground_sets: tuple
 
-    def to_json(self) -> dict:
-        return {"max_vertices": self.max_vertices,
-                "ground_sets": [str(x) for x in self.ground_sets]}
+    to_json = record_json
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,7 @@ class Witness:
     labeling: Optional[Labeling]
     detail: str
 
-    def to_json(self) -> dict:
-        return {"graph": self.graph.to_json(),
-                "labeling": None if self.labeling is None else self.labeling.to_json(),
-                "detail": self.detail}
+    to_json = record_json
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,7 @@ class Finding:
     detail: str
     witnesses: tuple = ()
 
-    def to_json(self) -> dict:
-        return {"label": self.label, "status": self.status, "detail": self.detail,
-                "witnesses": [w.to_json() for w in self.witnesses]}
+    to_json = record_json
 
 
 @dataclass(frozen=True)

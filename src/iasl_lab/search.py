@@ -11,7 +11,8 @@ repeated runs return the identical first-found labeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, permutations
 from math import perm
@@ -21,12 +22,12 @@ from typing import Iterator, Optional
 from .graphs import Graph
 from .intsets import (DEFAULT_GROUND_CAP, GroundSet, IntSet,
                       SumsetClassification, _sum_bits, _table_representatives,
-                      bits_of, classify)
+                      bits_of, classify, record_json)
 from .labelings import Labeling
 # the searches never call enumerate_topologies; the import stays because
 # perfbench/tracer.py instruments search.enumerate_topologies
-from .topology import (Topology, _families_by_open_count, _topology,
-                       closed_family, enumerate_topologies)
+from .topology import (Topology, _families, _topology, closed_family,
+                       enumerate_topologies)
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,7 @@ class StructuralScreen:
         """True unless a provably necessary condition already fails."""
         return self.edge_count_ok and self.vertex_count_ok and self.pendant_floor_ok
 
-    def to_json(self) -> dict:
-        """Every field in declaration order, the classification as its four
-        counts."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["classification"] = out.pop("classification").to_json()
-        return out
+    to_json = record_json
 
 
 def screen(g: Graph, x: GroundSet, mode: str = "iasgl") -> StructuralScreen:
@@ -119,13 +115,7 @@ class SearchOutcome:
     nodes_explored: int
     screen: Optional[StructuralScreen]
 
-    def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "labeling": None if self.labeling is None else self.labeling.to_json(),
-            "nodes_explored": self.nodes_explored,
-            "screen": None if self.screen is None else self.screen.to_json(),
-        }
+    to_json = record_json
 
 
 def _search_order(g: Graph) -> tuple[list[str], list[list[int]], list[int]]:
@@ -209,9 +199,11 @@ def _capacity_table(x: GroundSet, k: int) -> tuple[tuple, tuple]:
     of the family's opens that hold max(X)."""
     top = x.max_element
     tops = sum(1 << p for p, m in enumerate(x.subset_masks()) if m >> top & 1)
+    families = _families(x.size)  # sorted by open count
     profiles = {}
     rows = []
-    for family in _families_by_open_count(x.size).get(k, ()):
+    for family in families[bisect_left(families, k, key=int.bit_count):
+                           bisect_right(families, k, key=int.bit_count)]:
         caps, at_least = _capacities(x, family)
         rows.append((family, profiles.setdefault(caps, len(profiles)), at_least,
                      (family & tops).bit_count()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .graphs import Graph
@@ -181,12 +181,6 @@ def _families(k: int) -> tuple[int, ...]:
     width = f"0{len(masks)}b"
     out.sort(key=lambda fam: (fam.bit_count(), -int(format(fam, width)[::-1], 2)))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _families_by_open_count(k: int) -> dict[int, tuple[int, ...]]:
-    """``_families(k)`` grouped by the number of non-empty opens."""
-    return {n: tuple(fams) for n, fams in groupby(_families(k), int.bit_count)}
 
 
 def _topology(x: GroundSet, family: int) -> Topology:

@@ -69,6 +69,17 @@ def test_labeling_emit_refuses_a_name_it_cannot_carry(name):
         f.emit()
 
 
+# names that are no strings, which Graph refuses where they enter
+# (TestGraphInvariants); the atlas path skips that check
+@pytest.mark.parametrize("name", [1, None, ("a",)])
+def test_emit_refuses_a_non_string_name(name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        Graph._unchecked(("u", name), ((0, 1),)).emit()
+    f = Labeling(GroundSet((0, 1)), {"u": IntSet((0,)), name: IntSet((1,))})
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        f.emit()
+
+
 @given(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
 def test_emit_reparses_identically_or_refuses(vs):
     g = Graph(vs, list(zip(vs, vs[1:])))
@@ -104,6 +115,8 @@ FORMATS = {
     "graph": (parse_graph, GraphParseError, ["a b", "b c", "d"], "a b c"),
     "labeling": (parse_labeling, LabelingParseError,
                  ["X {0,1}", "a {0}", "b {1}"], "c {1_0}"),
+    "labeling-name-only": (parse_labeling, LabelingParseError,
+                           ["X {0,1}", "a {0}", "b {1}"], "c"),
     "topology": (parse_topology, TopologyParseError, ["∅", "{0}", "{0,1}"],
                  "{+1}"),
 }

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import permutations, product
 
@@ -496,6 +497,23 @@ class TestGraphInvariants:
     def test_rejects_undeclared_endpoint(self):
         with pytest.raises(ValueError):
             Graph(("a",), [("a", "b")])
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (("a", "b"), [("a", "b"), ("b", "a")], "duplicate edge ('b', 'a')"),
+        (("a", 1), [("a", 1)], "vertex name 1 is not a string"),
+        ((1, 2), [(1, 2)], "vertex name 1 is not a string"),
+    ], ids=["edge-both-ways", "mixed-names", "int-names"])
+    def test_rejects_bad_input(self, vertices, edges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(vertices, edges)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cycle(2), "cycle needs at least 3 vertices"),
+        (lambda: list(enumerate_connected_graphs(0)), "vertex count must be positive"),
+    ], ids=["cycle-2", "enumerate-0"])
+    def test_builders_refuse_too_few_vertices(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_degrees(self):
         g = star(4)

@@ -3,17 +3,20 @@
 import contextlib
 import hashlib
 import io
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
-from iasl_lab import (EnumerationInfeasible, GroundSet, IntSet,
-                      all_nonempty_subsets, classify, summand_decompositions,
-                      sumset)
+from iasl_lab import (EnumerationInfeasible, Graph, GroundSet, IntSet,
+                      SumsetClassification, all_nonempty_subsets, classify,
+                      labelings, oracle, search, summand_decompositions,
+                      sumset, topology)
 from iasl_lab.cli import main
-from iasl_lab.intsets import (_sum_bits, _table_representatives, subset_sort_key,
-                              sumset_mask, table_key)
+from iasl_lab.intsets import (_sum_bits, _table_representatives, record_json,
+                              subset_sort_key, sumset_mask, table_key)
 
 # SHA-256 over `classify --json` and every subset's summand decompositions,
 # for X = {0} plus up to four elements of 1..7 (see test_outputs_are_pinned)
@@ -59,6 +62,11 @@ class TestIntSet:
     def test_rejects_above_bound(self):
         with pytest.raises(ValueError):
             IntSet((64,))
+
+    @pytest.mark.parametrize("element", ["1", True, 1.0])
+    def test_rejects_non_integers(self, element):
+        with pytest.raises(ValueError, match="set elements must be integers"):
+            IntSet([element])
 
     @pytest.mark.parametrize("text,expected", [
         ("{0,1,3}", (0, 1, 3)),
@@ -405,3 +413,45 @@ class TestTableKey:
         assert table_key((0, 1, 2)) == ((0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 1, 2))
         assert table_key((0, 2, 3, 5)) == ((0, 0, 0), (0, 1, 1), (0, 2, 2),
                                            (0, 3, 3), (1, 2, 3))
+
+
+class TestRecordJson:
+    def test_fields_in_declaration_order(self):
+        @dataclass(frozen=True)
+        class Inner:
+            name: str
+
+            def to_json(self):
+                return {"inner": self.name}
+
+        @dataclass(frozen=True)
+        class Record:
+            z: int
+            ground: GroundSet
+            sets: tuple
+            by_name: dict
+            inner: Optional[Inner]
+            missing: Optional[Inner]
+            flag: bool
+
+        record = Record(1, GroundSet((0, 2)), (IntSet((1,)), [IntSet(())]),
+                        {"b": IntSet((0, 1)), "a": Inner("x")}, Inner("y"),
+                        None, True)
+        out = record_json(record)
+        assert list(out) == ["z", "ground", "sets", "by_name", "inner",
+                             "missing", "flag"]
+        assert out == {"z": 1, "ground": "{0,2}", "sets": ["{1}", ["{}"]],
+                       "by_name": {"b": "{0,1}", "a": {"inner": "x"}},
+                       "inner": {"inner": "y"}, "missing": None, "flag": True}
+
+    def test_the_field_for_field_records_share_it(self):
+        # the records whose JSON is their fields use record_json; the four
+        # whose JSON is not keep their own
+        shared = [labelings.Labeling, labelings.Violation,
+                  labelings.VerificationReport, search.StructuralScreen,
+                  search.SearchOutcome, oracle.Scope, oracle.Witness,
+                  oracle.Finding]
+        assert all(cls.to_json is record_json for cls in shared)
+        own = [oracle.TheoremReport, topology.Topology, SumsetClassification,
+               Graph]
+        assert not any(cls.to_json is record_json for cls in own)

@@ -62,6 +62,12 @@ class TestInducedEdgeLabels:
         with pytest.raises(IncompleteLabelingError):
             induced_edge_labels(g, f)
 
+    def test_empty_label(self):
+        g = parse_graph("a b\n")
+        f = mk((0, 1), a=(1,), b=())
+        with pytest.raises(ValueError, match="touches an empty label"):
+            induced_edge_labels(g, f)
+
 
 class TestVerifyIasl:
     def test_valid_star(self):

@@ -5,8 +5,9 @@ from collections import Counter
 import pytest
 
 from iasl_lab import (GroundSet, ORACLE_CHECKS, OracleScope,
-                      iter_top_iasgl_assignments, run_all, run_oracle,
+                      iter_top_iasgl_assignments, path, run_all, run_oracle,
                       suite_clean, verify_iasgl)
+from iasl_lab.oracle import Witness
 
 X01 = GroundSet((0, 1))
 X012 = GroundSet((0, 1, 2))
@@ -237,6 +238,12 @@ class TestDeterminism:
         a = json.dumps([r.to_json() for r in run_all(4, [X01, X012])])
         b = json.dumps([r.to_json() for r in run_all(4, [X01, X012])])
         assert a == b
+
+    def test_witness_without_a_labeling_is_null(self):
+        # T-even's witness carries no labeling
+        assert Witness(path(2), None, "odd edge count 1").to_json() == {
+            "graph": {"vertices": ["v1", "v2"], "edges": [["v1", "v2"]]},
+            "labeling": None, "detail": "odd edge count 1"}
 
     def test_report_json_shape(self, reports):
         payload = reports[0].to_json()

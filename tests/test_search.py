@@ -24,7 +24,7 @@ from iasl_lab.intsets import (ZERO_MASK, _sum_bits, bits_of, sumset_mask,
 from iasl_lab.search import (_assignments, _capacities, _capacity_table,
                               _domains, _fits, _fitting_families, _labels_fit,
                               _partner_bitsets, _search_order)
-from iasl_lab.topology import _families, _families_by_open_count, _topology
+from iasl_lab.topology import _families, _topology
 import iasl_lab.search as search
 from iasl_lab import DEFAULT_GROUND_CAP, complete_bipartite
 
@@ -54,7 +54,9 @@ def unpruned_top_iasl_assignments(g, x, counter=None):
     core offers every vertex every open of each topology."""
     order, earlier, _degrees = _search_order(g)
     masks = x.subset_masks()
-    for family in _families_by_open_count(x.size).get(g.n, ()):
+    for family in _families(x.size):
+        if family.bit_count() != g.n:
+            continue
         t = None
         for picks in _assignments(earlier, [family] * g.n, _partner_bitsets(x),
                                   counter):
@@ -119,7 +121,9 @@ def looped_top_iasl_assignments(g, x, counter, floored=True):
     masks = x.subset_masks()
     counts = g.pendant_neighbors()
     pendants = [counts[v] for v in order]
-    for family in _families_by_open_count(x.size).get(g.n, ()):
+    for family in _families(x.size):
+        if family.bit_count() != g.n:
+            continue
         caps, at_least = _capacities(x, family)
         if not _fits(degrees, caps):
             continue
@@ -307,7 +311,7 @@ class TestSearchTopIasl:
         for g in graphs:
             min_degree_two = all(d >= 2 for d in g.degrees().values())
             for x in grounds:
-                calls = _families_by_open_count.cache_info()
+                calls = _families.cache_info()
                 out = search_top_iasl(g, x)
                 counter = [0]
                 first = next((m for _t, m in iter_top_iasl_assignments(g, x, counter)),
@@ -319,7 +323,7 @@ class TestSearchTopIasl:
                     ruled_out += 1
                     assert first is None
                     assert out.nodes_explored == counter[0] == 0
-                    after = _families_by_open_count.cache_info()
+                    after = _families.cache_info()
                     assert after.hits + after.misses == calls.hits + calls.misses
         # the empty graph, the two triangles and the 583 connected classes
         # of minimum degree >= 2 (1, 3, 11, 61 and 507 for n = 3..7)
@@ -328,11 +332,11 @@ class TestSearchTopIasl:
     def test_too_many_vertices_skip_the_table(self):
         # n >= 2^|X| vertices cannot take distinct non-empty subsets of X
         for g, x in ((path(4), X01), (star(7), X012), (path(8), X012)):
-            calls = _families_by_open_count.cache_info()
+            calls = _families.cache_info()
             counter = [0]
             assert list(iter_top_iasl_assignments(g, x, counter)) == []
             assert counter[0] == 0
-            after = _families_by_open_count.cache_info()
+            after = _families.cache_info()
             assert after.hits + after.misses == calls.hits + calls.misses
 
     def test_edge_sums_stay_inside_ground_set(self):
@@ -770,11 +774,22 @@ class TestCapacityRule:
                  for family in _families(x.size)]
         for elems in ((0, 1, 3, 4, 6), (0, 1, 2, 3, 4)):
             x = GroundSet(elems)
-            cases.extend((x, family)
-                         for family in _families_by_open_count(5)[7])
+            cases.extend((x, family) for family in _families(5)
+                         if family.bit_count() == 7)
         assert len(cases) == 1 + 3 * 4 + 3 * 29 + 355 + 2 * 955
         for x, family in cases:
             assert _capacities(x, family) == self.looped_capacities(x, family)
+
+    def test_capacity_tables_hold_the_families_of_their_open_count(self):
+        # each table's rows are the families with k non-empty opens, in
+        # _families order, for every k and every |X| up to 5
+        for size in range(1, DEFAULT_GROUND_CAP + 1):
+            x = GroundSet(range(size))
+            rows = [f for k in range(1, 1 << size)
+                    for f, *_rest in _capacity_table(x, k)[1]]
+            assert rows == list(_families(size))
+            assert all(f.bit_count() <= g.bit_count()
+                       for f, g in zip(rows, rows[1:]))
 
     def test_fitting_families_are_the_families_that_fit(self):
         # the families of the open count whose own capacities hold the
@@ -783,12 +798,47 @@ class TestCapacityRule:
         sequences = {tuple(_search_order(g)[2]) for n in range(2, 8)
                      for g in enumerate_connected_graphs(n, dedup=True)}
         for x in self.GROUNDS:
-            table = _families_by_open_count(x.size)
             for degrees in map(list, sorted(sequences)):
                 fitting = [(f, _capacities(x, f)[1], max_opens(x, f))
-                           for f in table.get(len(degrees), ())
-                           if _fits(degrees, _capacities(x, f)[0])]
+                           for f in _families(x.size)
+                           if f.bit_count() == len(degrees)
+                           and _fits(degrees, _capacities(x, f)[0])]
                 assert list(_fitting_families(x, degrees)) == fitting
+
+    @staticmethod
+    def double_star(s_pendants):
+        # h joined to s and to a1..a7; s joined to the vertices s_pendants
+        a = [f"a{i}" for i in range(1, 8)]
+        vs = ["h", "s"] + a + [v for v in s_pendants if v not in a]
+        return Graph(vs, [("h", "s")] + [("h", v) for v in a]
+                     + [("s", v) for v in s_pendants])
+
+    def test_double_star_fails_the_capacity_rule_without_a_node(self):
+        # 15 vertices, 14 edges: the screen admits it and h meets beta = 8,
+        # but s (degree 7) needs a second subset of capacity >= 7, and over
+        # {0,1,2,3} only {0} has one; without the rule each search walks 1 node
+        x = GroundSet(range(4))
+        g = self.double_star([f"b{i}" for i in range(1, 7)])
+        assert (g.n, g.m) == (15, 14)
+        assert screen(g, x).admissible()
+        assert g.degree("h") == classify(x).zero_degree_floor == 8
+        assert _capacities(x, (1 << 15) - 1)[0][:4] == (14, 6, 6, 3)
+        for run in (search_iasgl, search_top_iasgl):
+            out = run(g, x)
+            assert not out.found and out.nodes_explored == 0
+
+    def test_double_star_variant_has_no_graceful_labeling_unpruned(self):
+        # s joined to a1..a6 instead (9 vertices, 14 edges): the capacity
+        # rule leaves the core no node, and the unpruned core finds nothing
+        # either, after 1,027
+        x = GroundSet(range(4))
+        g = self.double_star([f"a{i}" for i in range(1, 7)])
+        assert (g.n, g.m) == (9, 14)
+        counter = [0]
+        assert list(iter_iasgl_assignments(g, x, counter)) == []
+        assert counter == [0]
+        assert list(unpruned_iasgl_assignments(g, x, counter)) == []
+        assert counter == [1027]
 
     def test_deep_graphs_have_no_graceful_labeling_unpruned(self):
         x = GroundSet(range(5))
