@@ -97,6 +97,7 @@ class OracleScope:
         self._iasgl: dict = {}
         self._top_iasl: dict = {}
         self._top_iasgl: dict = {}
+        self._solved: dict = {}
 
     def graphs(self) -> list:
         """(graph, structure) for every connected graph in scope, built once."""
@@ -133,6 +134,16 @@ class OracleScope:
             sols = self._top_iasgl[g, x] = tuple(
                 search.keep_topological(self.iasgl_solutions(g, x), x))
         return sols
+
+    def solved(self, kind: str) -> list:
+        """The (graph, X, structure) triples, in pair order, whose
+        ``<kind>_solutions`` tuple is non-empty, built once per kind; a
+        Top-IASGL solution is graceful, so ``top_iasgl`` filters ``iasgl``'s."""
+        if kind not in self._solved:
+            pairs = self.solved("iasgl") if kind == "top_iasgl" else self.structured_pairs()
+            solutions = getattr(self, kind + "_solutions")
+            self._solved[kind] = [t for t in pairs if solutions(t[0], t[1])]
+        return self._solved[kind]
 
     @staticmethod
     def labeling(x: GroundSet, sol: dict) -> Labeling:
@@ -181,14 +192,16 @@ def _run(check: "_Check", ctx: OracleScope) -> tuple:
     for a failure, and ``(key, match, build)`` for a reading of the claim,
     where ``build()`` makes the reading's witness. A finding prints at most
     three witnesses, so only the first three misses of a reading build one.
+    A check that ``reads`` a solution cache is judged only on the pairs where
+    that cache is non-empty, and counts its instances over every pair.
     """
+    applied = [inst for inst in check.instances(ctx) if check.applies(*inst)]
+    judged = applied if check.reads is None else [
+        inst for inst in ctx.solved(check.reads) if check.applies(*inst)]
     tallies = {key: [detail, 0, 0, []] for key, detail in check.readings}
-    instances = passes = 0
+    passes = 0
     witnesses = []
-    for inst in check.instances(ctx):
-        if not check.applies(*inst):
-            continue
-        instances += 1
+    for inst in judged:
         for verdict in check.judge(ctx, *inst):
             if verdict is True:
                 passes += 1
@@ -203,7 +216,7 @@ def _run(check: "_Check", ctx: OracleScope) -> tuple:
                     rec[3].append(build())
     holds = ("confirmed" if not witnesses
              else "counterexample" if passes == 0 else "mixed")
-    return instances, holds, witnesses, check.report(tallies)
+    return len(applied), holds, witnesses, check.report(tallies)
 
 
 @dataclass(frozen=True)
@@ -213,14 +226,18 @@ class _Check:
     The check's instances are those of ``instances(ctx)``, by default the
     (graph, X, structure) triples in scope, that ``applies`` accepts.
     ``readings`` pairs each tallied key with its description, and ``report``
-    turns the tallies into findings. ``fn(ctx)`` returns (instances, holds,
-    witnesses, findings); it runs this record unless given, and is a field
-    so that instrumentation can replace it with a wrapper.
+    turns the tallies into findings. ``reads`` (``"iasgl"``, ``"top_iasl"``
+    or ``"top_iasgl"``) names the solution cache without which ``judge``
+    yields nothing; leave it ``None`` if the judge yields on a pair without
+    solutions. ``fn(ctx)`` returns (instances, holds, witnesses, findings); it
+    runs this record unless given, and is a field so that instrumentation
+    can replace it with a wrapper.
     """
 
     description: str
     judge: Callable
     applies: Callable = lambda g, x, st: True
+    reads: Optional[str] = None
     ambiguous: bool = False
     readings: tuple = ()
     report: Callable = _findings
@@ -263,14 +280,17 @@ def _judge_p3(ctx, g, x, st):
             f"over X = {x}")
 
 
-def _maxel_pendants(ctx, g, x, st, solutions):
-    """Labels containing max(X) sit on pendants adjacent to the {0}-vertex."""
+def _maxel_pendants(ctx, g, x, solutions):
+    """Labels containing max(X) sit on pendants adjacent to the {0}-vertex:
+    the vertex's neighbour mask is the {0}-vertex's bit alone."""
     top = x.max_element
+    adj = dict(zip(g.vertices, g.neighbor_masks()))
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     for sol in solutions:
         zv = _zero_vertex(sol)
+        hook = -1 if zv is None else bit[zv]  # no neighbour mask is negative
         for v, m in sol.items():
-            if m >> top & 1 and (st.degrees[v] != 1 or zv is None
-                                 or zv not in g.neighbors(v)):
+            if m >> top & 1 and adj[v] != hook:
                 yield Witness(g, ctx.labeling(x, sol),
                               f"vertex {v} carries max(X) = {top} but is not a "
                               f"pendant neighbor of the {{0}}-vertex")
@@ -447,18 +467,21 @@ def _nontrivial(g, x, st) -> bool:
 
 
 ORACLE_CHECKS: dict[str, _Check] = {
-    "P1": _Check("{0} labels some vertex of every graceful labeling", _judge_p1),
+    "P1": _Check("{0} labels some vertex of every graceful labeling", _judge_p1,
+                 reads="iasgl"),
     "P2": _Check("graceful graphs have at least |X| - 1 pendant vertices",
-                 _judge_p2),
+                 _judge_p2, reads="iasgl"),
     "P3": _Check("the {0}-vertex has at least 1 + 2^(|X|-1) neighbors (reported)",
-                 _judge_p3, ambiguous=True),
+                 _judge_p3, reads="iasgl", ambiguous=True),
     "P4": _Check("max(X)-labels sit on pendants adjacent to the {0}-vertex (reported)",
                  lambda ctx, g, x, st: _maxel_pendants(
-                     ctx, g, x, st, ctx.iasgl_solutions(g, x)),
-                 ambiguous=True),
-    "T-even": _Check("graceful graphs have an even number of edges", _judge_t_even),
+                     ctx, g, x, ctx.iasgl_solutions(g, x)),
+                 reads="iasgl", ambiguous=True),
+    "T-even": _Check("graceful graphs have an even number of edges", _judge_t_even,
+                     reads="iasgl"),
     "T-char": _Check(
         "four-condition graceful characterization (readings tallied)", _judge_t_char,
+        reads="iasgl",
         readings=(
             ("b-nonempty",
              "condition (b): pendants = non-summand count over non-empty subsets"),
@@ -479,11 +502,11 @@ ORACLE_CHECKS: dict[str, _Check] = {
     "T-tree": _Check("a tree is graceful iff it is the star with 2^|X| - 2 leaves",
                      _judge_t_tree, applies=lambda g, x, st: st.is_tree),
     "T-toppend": _Check("topologically labelable graphs have a pendant vertex",
-                        _judge_t_toppend, applies=_nontrivial),
+                        _judge_t_toppend, applies=_nontrivial, reads="top_iasl"),
     "T-maxel": _Check("topological labelings pin max(X)-labels to pendants",
                       lambda ctx, g, x, st: _maxel_pendants(
-                          ctx, g, x, st, ctx.top_iasl_solutions(g, x)),
-                      applies=_nontrivial),
+                          ctx, g, x, ctx.top_iasl_solutions(g, x)),
+                      applies=_nontrivial, reads="top_iasl"),
     "T-disc": _Check("discrete-topology labelings exist iff enough pendants share "
                      "a neighbor", _judge_t_disc,
                      # a discrete family needs exactly 2^|X| - 1 vertex labels
@@ -502,6 +525,7 @@ ORACLE_CHECKS: dict[str, _Check] = {
     "T-acyc": _Check("acyclic topological-graceful graphs are the expected star",
                      _judge_t_acyc,
                      applies=lambda g, x, st: st.is_tree and g.n >= 2,
+                     reads="top_iasgl",
                      readings=(("acyclic-literal-exponent",
                                 "literal doubled-exponent reading of the acyclic "
                                 "star result"),),
@@ -511,7 +535,7 @@ ORACLE_CHECKS: dict[str, _Check] = {
                     applies=lambda g, x, st: g.n >= 2 and st.is_regular is not None),
     "T-nsc": _Check(
         "necessary conditions of the existence theorem (readings tallied)",
-        _judge_t_nsc,
+        _judge_t_nsc, reads="top_iasgl",
         readings=(
             ("b-degree-rho2", "condition (b): some vertex has degree rho''"),
             ("b-degree-proof",

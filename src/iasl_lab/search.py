@@ -422,7 +422,13 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     # max-open pendant floor with r(T) >= 1 (X is an open that holds max(X)),
     # applied before the table of |X| is built, which minimal_ground_set
     # would then pay for graphs that never match
-    if not _labels_fit(g.n, x.size) or all(d >= 2 for d in g.degrees().values()):
+    degrees = sorted(g.degrees().values(), reverse=True)
+    if not _labels_fit(g.n, x.size) or all(d >= 2 for d in degrees):
+        return
+    # the capacity rule reads only the degrees, so a graph no family fits
+    # is dismissed before its vertices are ordered
+    fitting = list(_fitting_families(x, degrees))
+    if not fitting:
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
@@ -432,7 +438,7 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     most = max(pendants)
     # an isolated vertex may carry X or an open that holds max(X)
     floored = degrees[-1] >= 1
-    for family, at_least, reach in _fitting_families(x, degrees):
+    for family, at_least, reach in fitting:
         floor = reach if floored else 0
         if floor > most:
             continue

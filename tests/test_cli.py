@@ -393,6 +393,10 @@ class TestOracle:
          "2dc33e31b88cd404cd49a4b5cd1a9e00c4feed763802de15a52d5ee4381a03ce"),
         ("--max-vertices 5 --ground-set {0,1,2,3}",
          "1bd9a7d6c8b8721ebed2e1bc0bc7afb8ec22a49799cbdb5c94a481f47479457d"),
+        # T-maxel judges 35,946 top-IASL solutions here, against 964 at the
+        # default scope
+        ("--max-vertices 7 --ground-set {0,1,2,3}",
+         "88c8cc5db2762bba65ecdf4cfd8ccfc08f70606036c633cc926ec093ca7eafc3"),
     ])
     def test_other_scope_json_bytes_are_pinned(self, capsys, scope, digest):
         import hashlib

@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 
-from iasl_lab import (GroundSet, ORACLE_CHECKS, OracleScope,
-                      iter_top_iasgl_assignments, path, run_all, run_oracle,
+from iasl_lab import (GroundSet, IntSet, Labeling, ORACLE_CHECKS, OracleScope,
+                      iter_top_iasgl_assignments, path, run_all, run_oracle, star,
                       suite_clean, verify_iasgl)
-from iasl_lab.oracle import Witness
+from iasl_lab.oracle import Witness, _maxel_pendants
 
 X01 = GroundSet((0, 1))
 X012 = GroundSet((0, 1, 2))
@@ -251,3 +251,104 @@ class TestDeterminism:
                                 "holds", "documented", "witnesses", "findings"}
         assert payload["scope"] == {"max_vertices": 5,
                                     "ground_sets": ["{0,1}", "{0,1,2}"]}
+
+
+def judge_every_pair(check, ctx):
+    """The runner without ``reads``: every instance that ``applies`` accepts
+    is judged, whether or not its solution cache holds anything."""
+    tallies = {key: [detail, 0, 0, []] for key, detail in check.readings}
+    instances = passes = 0
+    witnesses = []
+    for inst in check.instances(ctx):
+        if not check.applies(*inst):
+            continue
+        instances += 1
+        for verdict in check.judge(ctx, *inst):
+            if verdict is True:
+                passes += 1
+            elif isinstance(verdict, Witness):
+                witnesses.append(verdict)
+            else:
+                key, match, build = verdict
+                rec = tallies[key]
+                rec[1] += match
+                rec[2] += 1
+                if not match and len(rec[3]) < 3:
+                    rec[3].append(build())
+    holds = ("confirmed" if not witnesses
+             else "counterexample" if passes == 0 else "mixed")
+    return instances, holds, witnesses, check.report(tallies)
+
+
+@pytest.fixture(scope="module", params=[
+    (6, (X01, X012)), (6, (GroundSet((0, 1, 3)),)), (5, (GroundSet((0, 1, 2, 3)),))],
+    ids=["default-6", "013-6", "0123-5"])
+def scope(request):
+    return OracleScope(*request.param)
+
+
+class TestReads:
+    def test_declarations(self):
+        reads = {tid: check.reads for tid, check in ORACLE_CHECKS.items()
+                 if check.reads is not None}
+        assert reads == {"P1": "iasgl", "P2": "iasgl", "P3": "iasgl", "P4": "iasgl",
+                         "T-even": "iasgl", "T-char": "iasgl",
+                         "T-toppend": "top_iasl", "T-maxel": "top_iasl",
+                         "T-acyc": "top_iasgl", "T-nsc": "top_iasgl"}
+
+    def test_judges_yield_nothing_where_their_cache_is_empty(self, scope):
+        # the rule that lets the runner skip those pairs
+        for tid, check in ORACLE_CHECKS.items():
+            if check.reads is None:
+                continue
+            solutions = getattr(scope, check.reads + "_solutions")
+            for g, x, st in scope.structured_pairs():
+                if check.applies(g, x, st) and not solutions(g, x):
+                    assert list(check.judge(scope, g, x, st)) == [], (tid, g, x)
+
+    def test_reports_equal_judging_every_pair(self, scope):
+        for tid, check in ORACLE_CHECKS.items():
+            assert check.fn(scope) == judge_every_pair(check, scope), tid
+
+    def test_solved_keeps_the_pairs_with_solutions_in_order(self, scope):
+        for kind in ("iasgl", "top_iasl", "top_iasgl"):
+            solutions = getattr(scope, kind + "_solutions")
+            assert scope.solved(kind) == [
+                (g, x, st) for g, x, st in scope.structured_pairs() if solutions(g, x)]
+            assert scope.solved(kind) is scope.solved(kind)
+
+
+class TestMaxelRule:
+    """``_maxel_pendants`` on hand-built solutions: P4 and T-maxel confirm on
+    every pinned scope, so only these cases catch a rule that passes too much."""
+
+    @staticmethod
+    def verdicts(g, x, **labels):
+        sol = {v: IntSet(s).mask for v, s in labels.items()}
+        return list(_maxel_pendants(OracleScope(1, (x,)), g, x, [sol]))
+
+    def assert_witness(self, verdicts, vertex):
+        (verdict,) = verdicts
+        assert isinstance(verdict, Witness)
+        assert verdict.detail.startswith(f"vertex {vertex} carries max(X)")
+
+    def test_max_label_on_a_degree_two_vertex(self):
+        # v1 - v2 - v3, and v2 carries 2 = max(X) next to the {0}-vertex
+        self.assert_witness(self.verdicts(path(3), X012, v1=(0,), v2=(2,), v3=(1,)),
+                            "v2")
+
+    def test_max_label_on_a_pendant_of_another_vertex(self):
+        # v1 - v2 - v3 - v4: v4 is a pendant, but of v3, not of the
+        # {0}-vertex v2
+        self.assert_witness(self.verdicts(path(4), X012, v1=(1,), v2=(0,), v3=(0, 1),
+                                          v4=(2,)), "v4")
+
+    def test_no_zero_vertex(self):
+        # both pendants of K2 carry 1 = max(X), and neither carries {0}
+        self.assert_witness(self.verdicts(path(2), X01, v1=(1,), v2=(0, 1)), "v1")
+
+    def test_conforming_labeling_of_k12_passes(self):
+        labels = {"c": (0,), "l1": (1,), "l2": (0, 1)}
+        assert verify_iasgl(star(2), Labeling(
+            X01, {v: IntSet(s) for v, s in labels.items()})).verdict
+        assert self.verdicts(star(2), X01, **labels) == [True]

@@ -339,6 +339,20 @@ class TestSearchTopIasl:
             after = _families.cache_info()
             assert after.hits + after.misses == calls.hits + calls.misses
 
+    def test_no_fitting_family_skips_the_search_order(self, monkeypatch):
+        # the 4-cycle with a pendant (degrees 3, 2, 2, 2, 1) fits no family of
+        # five opens on {0,1,2}; the capacity rule reads only the degrees
+        g = Graph("abcdp", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                            ("a", "p")])
+
+        def unordered(g):
+            raise AssertionError("_search_order called")
+
+        monkeypatch.setattr(search, "_search_order", unordered)
+        assert list(iter_top_iasl_assignments(g, X012)) == []
+        out = search_top_iasl(g, X012)
+        assert not out.found and out.nodes_explored == 0
+
     def test_edge_sums_stay_inside_ground_set(self):
         for g in (path(2), path(3), star(3)):
             out = search_top_iasl(g, X012)
