@@ -78,9 +78,9 @@ def screen(g: Graph, x: GroundSet, mode: str = "iasgl") -> StructuralScreen:
     # the {0}-vertex and its beta distinct neighbours; for |X| >= 2,
     # {0, max X} counts towards beta, for X = {0} nothing is required
     min_vertices = 1 + beta if beta else 0
-    degrees = g.degrees()
-    pendant_count = sum(1 for d in degrees.values() if d == 1)
-    max_degree = max(degrees.values(), default=0)
+    degrees = list(map(int.bit_count, g.neighbor_masks()))
+    pendant_count = degrees.count(1)
+    max_degree = max(degrees, default=0)
     # condition (c): the statement says 1 + rho' pendants when X is a sumset,
     # the proof says the opposite; both are reported.
     bound_a = 1 + cls.rho_prime if cls.x_is_sumset else cls.rho_prime
@@ -121,17 +121,17 @@ class SearchOutcome:
 def _search_order(g: Graph) -> tuple[list[str], list[list[int]], list[int]]:
     """Vertices by descending degree (name tie-break), for each position the
     positions of its earlier neighbours, and the degrees in that order."""
-    degs = g.degrees()
-    order = sorted(g.vertices, key=lambda v: (-degs[v], v))
-    pos = {v: i for i, v in enumerate(order)}
+    degs = list(map(int.bit_count, g.neighbor_masks()))
+    order = sorted(range(g.n), key=lambda i: (-degs[i], g.vertices[i]))
+    pos = dict(zip(order, range(g.n)))
     earlier: list[list[int]] = [[] for _ in order]
-    for u, w in g.edge_names():
+    for u, w in g.edges:
         i, j = pos[u], pos[w]
         if i < j:
             earlier[j].append(i)
         else:
             earlier[i].append(j)
-    return order, earlier, [degs[v] for v in order]
+    return [g.vertices[i] for i in order], earlier, [degs[i] for i in order]
 
 
 @lru_cache(maxsize=None)
@@ -356,7 +356,7 @@ def iter_iasgl_assignments(g: Graph, x: GroundSet,
     zero_floor = classify(x).zero_degree_floor
     # a positive floor needs {0} on a vertex of at least that degree; tested
     # before the vertices are ordered, which a graph below it never needs
-    if zero_floor and max(g.degrees().values(), default=0) < zero_floor:
+    if zero_floor and max(map(int.bit_count, g.neighbor_masks())) < zero_floor:
         return
     order, earlier, degrees = _search_order(g)
     masks = x.subset_masks()
@@ -422,7 +422,7 @@ def iter_top_iasl_assignments(g: Graph, x: GroundSet,
     # max-open pendant floor with r(T) >= 1 (X is an open that holds max(X)),
     # applied before the table of |X| is built, which minimal_ground_set
     # would then pay for graphs that never match
-    degrees = sorted(g.degrees().values(), reverse=True)
+    degrees = sorted(map(int.bit_count, g.neighbor_masks()), reverse=True)
     if not _labels_fit(g.n, x.size) or all(d >= 2 for d in degrees):
         return
     # the capacity rule reads only the degrees, so a graph no family fits

@@ -1,6 +1,7 @@
 """Backtracking searches, structural screens, and the smallest-ground-set scan."""
 
 import hashlib
+import random
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -895,6 +896,66 @@ class TestZeroDegreeFloor:
                         == list(unpruned_iasgl_assignments(g, x)))
 
 
+def reference_search_order(g):
+    """``_search_order`` written over vertex names and ``Graph.degrees()``:
+    the definition the mask-based one must equal element for element."""
+    degs = g.degrees()
+    order = sorted(g.vertices, key=lambda v: (-degs[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    earlier = [[] for _ in order]
+    for u, w in g.edge_names():
+        i, j = pos[u], pos[w]
+        if i < j:
+            earlier[j].append(i)
+        else:
+            earlier[i].append(j)
+    return order, earlier, [degs[v] for v in order]
+
+
+def renamed(g, rng):
+    """A copy of g with fresh vertex names, declared in a shuffled order,
+    and its edges listed in a shuffled order with random orientations."""
+    names = [f"{rng.choice('abuxz')}{k}" for k in rng.sample(range(100), g.n)]
+    vertices = list(names)
+    rng.shuffle(vertices)
+    edges = [(names[i], names[j]) if rng.random() < 0.5 else (names[j], names[i])
+             for i, j in g.edges]
+    rng.shuffle(edges)
+    return Graph(vertices, edges)
+
+
+class TestSearchOrder:
+    """``_search_order`` reads the neighbour masks and index pairs, and
+    returns what the name-based definition returns."""
+
+    # equal degrees whose name order differs from their index order: the
+    # path v10 - v9 - v2 - v1 puts v2 before v9 by name, v9 first by index
+    TIES = [parse_graph("v10 v9\nv9 v2\nv2 v1\n"),
+            parse_graph("z a\nz m\ny b\ny c\nz y\n"),
+            Graph(["c", "b", "a", "d"], [("a", "b"), ("c", "d")]),
+            Graph(["10", "9", "1", "x"], [("x", "10"), ("x", "9"), ("x", "1")])]
+
+    def test_name_order_differs_from_index_order(self):
+        order, _earlier, _degrees = _search_order(self.TIES[0])
+        assert order == ["v2", "v9", "v1", "v10"]
+
+    @pytest.mark.parametrize("g", [star(30), complete(12), cycle(31)] + TIES,
+                             ids=["star30", "k12", "c31", "path4", "double-star",
+                                  "matching", "claw"])
+    def test_matches_the_name_based_order(self, g):
+        assert _search_order(g) == reference_search_order(g)
+
+    def test_matches_on_every_class_and_deep_graph(self):
+        graphs = [g for n in range(1, 8)
+                  for g in enumerate_connected_graphs(n, dedup=True)]
+        graphs += [parse_graph(p.read_text(encoding="utf-8"))
+                   for p in sorted(DEEP_DIR.glob("*.edges"))]
+        assert len(graphs) == 996 + 3
+        rng = random.Random(31)
+        for g in graphs + [renamed(g, rng) for g in graphs]:
+            assert _search_order(g) == reference_search_order(g), g.edge_names()
+
+
 class TestFloorBeforeOrder:
     """The graceful core tests the zero-degree floor before it orders the
     vertices: a graph below the floor costs no ``_search_order``."""
@@ -1070,6 +1131,33 @@ class TestSumsetTableInvariance:
                     assert len(seen) == 1, (mode, grounds, g.edge_names())
                     compared += 1
         assert compared == 9 * 144 * 3
+
+
+class TestRenaming:
+    """A bijective renaming of the vertices, with the vertices and edges
+    declared in another order, keeps every verdict; a labeling found on the
+    renamed graph still verifies. Node counts and first-found labelings may
+    differ, through the name tie-break."""
+
+    VERIFY = {"iasgl": verify_iasgl, "top_iasl": verify_top_iasl,
+              "top_iasgl": verify_top_iasgl}
+
+    def test_verdicts_survive_renaming(self):
+        rng = random.Random(18)
+        calls = [(g, GroundSet(range(4)), "top_iasl") for n in range(1, 8)
+                 for g in enumerate_connected_graphs(n, dedup=True)]
+        calls += [(g, x, mode) for n in range(1, 7)
+                  for g in enumerate_connected_graphs(n, dedup=True)
+                  for x in (X012, GroundSet((0, 1, 3)))
+                  for mode in search.SEARCHES]
+        assert len(calls) == 1854
+        for g, x, mode in calls:
+            h = renamed(g, rng)
+            out = search.SEARCHES[mode](h, x)
+            assert out.found == search.SEARCHES[mode](g, x).found, (
+                mode, x, h.edge_names())
+            if out.found:
+                assert self.VERIFY[mode](h, out.labeling).verdict
 
 
 class TestMinimalGroundSet:
