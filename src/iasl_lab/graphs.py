@@ -208,27 +208,21 @@ class GraphStructure:
 
 
 def structure(g: Graph) -> GraphStructure:
-    degs = g.degrees()
-    pendants = tuple(v for v in g.vertices if degs[v] == 1)
+    """The structural facts of g, all read from one list of degrees taken
+    from its neighbour masks; only ``is_connected`` walks the graph. The
+    star centre is the first vertex of degree n - 1, in vertex order."""
+    degs = [a.bit_count() for a in g.neighbor_masks()]
     connected = g.is_connected()
-    values = set(degs.values())
-    regular = values.pop() if len(values) == 1 and g.n > 0 else None
     is_tree = connected and g.m == g.n - 1
-    center = None
-    if is_tree:
-        for v in g.vertices:
-            if degs[v] == g.n - 1:
-                center = v
-                break
-    is_star = is_tree and center is not None
+    center = g.vertices[degs.index(g.n - 1)] if is_tree and g.n - 1 in degs else None
     return GraphStructure(
-        degrees=degs,
-        pendant_vertices=pendants,
+        degrees=dict(zip(g.vertices, degs)),
+        pendant_vertices=tuple(v for v, d in zip(g.vertices, degs) if d == 1),
         is_connected=connected,
-        is_regular=regular,
+        is_regular=degs[0] if len(set(degs)) == 1 else None,
         is_tree=is_tree,
-        is_star=is_star,
-        center_if_star=center if is_star else None,
+        is_star=center is not None,
+        center_if_star=center,
     )
 
 

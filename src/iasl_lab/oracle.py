@@ -93,25 +93,23 @@ class OracleScope:
         self.max_vertices = max_vertices
         self.ground_sets = ground_sets
         self.scope = Scope(max_vertices, self.ground_sets)
-        self._graphs: Optional[list] = None
+        self._pairs: Optional[list] = None
         self._iasgl: dict = {}
         self._top_iasl: dict = {}
         self._top_iasgl: dict = {}
         self._solved: dict = {}
 
-    def graphs(self) -> list:
-        """(graph, structure) for every connected graph in scope, built once."""
-        if self._graphs is None:
-            self._graphs = [(g, structure(g)) for n in range(1, self.max_vertices + 1)
-                            for g in enumerate_connected_graphs(n, dedup=True)]
-        return self._graphs
+    def structured_pairs(self) -> list:
+        """(graph, X, structure of the graph) for every connected graph in
+        scope and every ground set, built once: the one list of the run."""
+        if self._pairs is None:
+            graphs = [(g, structure(g)) for n in range(1, self.max_vertices + 1)
+                      for g in enumerate_connected_graphs(n, dedup=True)]
+            self._pairs = [(g, x, st) for g, st in graphs for x in self.ground_sets]
+        return self._pairs
 
     def pairs(self):
-        return ((g, x) for g, _st in self.graphs() for x in self.ground_sets)
-
-    def structured_pairs(self):
-        """(graph, X, structure of the graph) for every pair in scope."""
-        return ((g, x, st) for g, st in self.graphs() for x in self.ground_sets)
+        return ((g, x) for g, x, _st in self.structured_pairs())
 
     def iasgl_solutions(self, g: Graph, x: GroundSet) -> tuple:
         sols = self._iasgl.get((g, x))
@@ -136,7 +134,7 @@ class OracleScope:
         return sols
 
     def solved(self, kind: str) -> list:
-        """The (graph, X, structure) triples, in pair order, whose
+        """The triples of ``structured_pairs()``, in order, whose
         ``<kind>_solutions`` tuple is non-empty, built once per kind; a
         Top-IASGL solution is graceful, so ``top_iasgl`` filters ``iasgl``'s."""
         if kind not in self._solved:
@@ -561,7 +559,7 @@ def run_checks(theorem_ids, max_vertices: int, ground_sets) -> list[TheoremRepor
         if tid in theorem_ids[:i]:
             raise ValueError(f"theorem id {tid!r} is given twice")
     ctx = OracleScope(max_vertices, ground_sets)
-    ctx.graphs()  # shared set-up, so that no check's time includes it
+    ctx.structured_pairs()  # shared set-up, so that no check's time includes it
     reports = []
     for tid in theorem_ids:
         check = ORACLE_CHECKS[tid]

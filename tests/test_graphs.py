@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from iasl_lab import graphs
 from iasl_lab import (EnumerationInfeasible, Graph, GraphParseError,
-                      canonical_mask, complete, complete_bipartite, cycle,
-                      enumerate_connected_graphs, enumerate_trees,
-                      graphs_isomorphic, parse_graph, path, star, structure)
+                      GraphStructure, canonical_mask, complete,
+                      complete_bipartite, cycle, enumerate_connected_graphs,
+                      enumerate_trees, graphs_isomorphic, parse_graph, path,
+                      star, structure)
+from test_search import renamed
 
 # known counts: connected graphs up to isomorphism and on labeled vertices
 CONNECTED_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -146,7 +148,52 @@ class TestParse:
             assert parse_graph(g.emit()) == g
 
 
+def named_structure(g):
+    """``structure`` written over vertex names and ``Graph.degrees()``: the
+    definition the mask-based one must equal field for field."""
+    degs = g.degrees()
+    pendants = tuple(v for v in g.vertices if degs[v] == 1)
+    connected = g.is_connected()
+    values = set(degs.values())
+    regular = values.pop() if len(values) == 1 and g.n > 0 else None
+    is_tree = connected and g.m == g.n - 1
+    center = None
+    if is_tree:
+        for v in g.vertices:
+            if degs[v] == g.n - 1:
+                center = v
+                break
+    is_star = is_tree and center is not None
+    return GraphStructure(
+        degrees=degs,
+        pendant_vertices=pendants,
+        is_connected=connected,
+        is_regular=regular,
+        is_tree=is_tree,
+        is_star=is_star,
+        center_if_star=center if is_star else None,
+    )
+
+
 class TestStructure:
+    def test_equals_the_name_based_definition(self):
+        # the classes, a renamed and reordered copy of each, and the edge
+        # cases: no vertex, K1, K2, a star declared leaf first, and two
+        # disconnected graphs, one with m = n - 1
+        rng = random.Random(32)
+        classes = [g for n in range(1, 8)
+                   for g in enumerate_connected_graphs(n, dedup=True)]
+        cases = classes + [renamed(g, rng) for g in classes] + [
+            Graph([], []), Graph(["a"], []), parse_graph("a b\n"),
+            Graph(["l1", "l2", "c", "l3"], [("l1", "c"), ("c", "l2"), ("l3", "c")]),
+            cycle(5), complete(12), complete_bipartite(3, 3), star(30),
+            parse_graph("a b\nb c\nc a\nd\n"), parse_graph("a b\nb c\nd\n")]
+        assert len(cases) == 2 * 996 + 10
+        for g in cases:
+            got, want = structure(g), named_structure(g)
+            assert (got, list(got.degrees.items())) == (
+                want, list(want.degrees.items())), g.edge_names()
+
     def test_cycle(self):
         st_ = structure(cycle(4))
         assert st_.is_regular == 2

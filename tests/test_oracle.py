@@ -311,11 +311,18 @@ class TestReads:
             assert check.fn(scope) == judge_every_pair(check, scope), tid
 
     def test_solved_keeps_the_pairs_with_solutions_in_order(self, scope):
+        # one list of triples, built once; pairs() and solved() read it
+        triples = scope.structured_pairs()
+        assert triples is scope.structured_pairs()
+        assert list(scope.pairs()) == [(g, x) for g, x, _st in triples]
         for kind in ("iasgl", "top_iasl", "top_iasgl"):
             solutions = getattr(scope, kind + "_solutions")
             assert scope.solved(kind) == [
-                (g, x, st) for g, x, st in scope.structured_pairs() if solutions(g, x)]
+                (g, x, st) for g, x, st in triples if solutions(g, x)]
             assert scope.solved(kind) is scope.solved(kind)
+            # the same triple objects, in the list's order
+            rest = iter(triples)
+            assert all(any(t is u for u in rest) for t in scope.solved(kind))
 
 
 class TestMaxelRule:

@@ -14,8 +14,8 @@ import pytest
 from iasl_lab import (Graph, GroundSet, IntSet, Labeling, OracleScope,
                       classify, complete, cycle,
                       enumerate_connected_graphs, enumerate_topologies,
-                      iter_iasgl_assignments, iter_top_iasl_assignments,
-                      minimal_ground_set,
+                      iter_iasgl_assignments, iter_top_iasgl_assignments,
+                      iter_top_iasl_assignments, minimal_ground_set,
                       parse_graph, path, screen, search_iasgl,
                       search_top_iasgl, search_top_iasl, star, verify_iasgl,
                       verify_top_iasgl, verify_top_iasl,
@@ -1102,10 +1102,15 @@ def unskipped_minimal_ground_set(g, mode, element_bound):
 
 
 class TestSumsetTableInvariance:
-    def test_searches_read_x_only_through_its_table(self):
-        # up to three ground sets inside {0,...,10} for each of the 9 sumset
-        # tables with |X| = 3 or 4: verdict, node count and the first-found
-        # labeling as subset positions agree within every table
+    STREAMS = {"iasgl": iter_iasgl_assignments,
+               "top_iasl": lambda g, x, counter: (
+                   masks for _t, masks in iter_top_iasl_assignments(g, x, counter)),
+               "top_iasgl": iter_top_iasgl_assignments}
+
+    @staticmethod
+    def grounds_by_table():
+        """Up to three ground sets inside {0,...,10} for each of the 9 sumset
+        tables with |X| = 3 or 4."""
         by_table = {}
         for size in (3, 4):
             for rest in combinations(range(1, 11), size - 1):
@@ -1114,11 +1119,16 @@ class TestSumsetTableInvariance:
                 if len(grounds) < 3:
                     grounds.append(x)
         assert len(by_table) == 9
+        return by_table.values()
+
+    def test_searches_read_x_only_through_its_table(self):
+        # verdict, node count and the first-found labeling as subset
+        # positions agree within every table
         graphs = [g for n in range(2, 7)
                   for g in enumerate_connected_graphs(n, dedup=True)]
         graphs += [star(6), star(14)]
         compared = 0
-        for grounds in by_table.values():
+        for grounds in self.grounds_by_table():
             for g in graphs:
                 for mode, find in search.SEARCHES.items():
                     seen = set()
@@ -1132,12 +1142,35 @@ class TestSumsetTableInvariance:
                     compared += 1
         assert compared == 9 * 144 * 3
 
+    def test_streams_read_x_only_through_its_table(self):
+        # the full solution streams, as subset positions in vertex order,
+        # and the node counter agree within each of the 9 tables; star(14)
+        # is left to the first-found test, its graceful stream being 14!
+        # labelings long
+        graphs = [g for n in range(2, 7)
+                  for g in enumerate_connected_graphs(n, dedup=True)] + [star(6)]
+        compared = solutions = 0
+        for grounds in self.grounds_by_table():
+            for g in graphs:
+                for mode, stream in self.STREAMS.items():
+                    seen = set()
+                    for x in grounds:
+                        position = {m: p for p, m in enumerate(x.subset_masks())}
+                        counter = [0]
+                        sols = tuple(tuple(position[sol[v]] for v in g.vertices)
+                                     for sol in stream(g, x, counter))
+                        seen.add((sols, counter[0]))
+                        solutions += len(sols)
+                    assert len(seen) == 1, (mode, grounds, g.edge_names())
+                    compared += 1
+        assert (compared, solutions) == (9 * 143 * 3, 476848)
+
 
 class TestRenaming:
     """A bijective renaming of the vertices, with the vertices and edges
-    declared in another order, keeps every verdict; a labeling found on the
-    renamed graph still verifies. Node counts and first-found labelings may
-    differ, through the name tie-break."""
+    declared in another order, keeps every verdict and the canonical key; a
+    labeling found on the renamed graph still verifies. Node counts and
+    first-found labelings may differ, through the name tie-break."""
 
     VERIFY = {"iasgl": verify_iasgl, "top_iasl": verify_top_iasl,
               "top_iasgl": verify_top_iasgl}
@@ -1153,6 +1186,7 @@ class TestRenaming:
         assert len(calls) == 1854
         for g, x, mode in calls:
             h = renamed(g, rng)
+            assert h.canonical_key() == g.canonical_key(), h.edge_names()
             out = search.SEARCHES[mode](h, x)
             assert out.found == search.SEARCHES[mode](g, x).found, (
                 mode, x, h.edge_names())
